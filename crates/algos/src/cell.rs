@@ -7,26 +7,10 @@
 //! the harness run cells on worker threads and cache their results
 //! content-addressed.
 //!
-//! One deliberate exception: the process-global
-//! [`scu_gpu::SimThreads`] knob, which fans the GPU engine's timing
-//! reconstruction out across per-SM lanes. It is *not* part of the
-//! cell configuration or [`Cell::cache_key`] because the engine
-//! guarantees byte-identical results at any thread count — the knob
-//! changes how fast a cell simulates, never what it produces.
-//!
 //! The serialised cell configuration (plus [`MODEL_VERSION`]) *is* the
 //! cache key; [`CellResult`] is the cached value. Raw per-node answer
 //! vectors are too large to cache, so results carry their length and a
 //! FNV-1a fingerprint instead — enough to assert cross-mode agreement.
-//!
-//! The key is actually **two-level**. [`Cell::cache_key`] addresses
-//! finished results and misses on any change. Beneath it,
-//! [`Cell::semantic_key`] addresses the recorded *functional traces*
-//! (per-warp memory streams) and deliberately excludes every
-//! timing-only knob — so a timing-model sweep that invalidates all
-//! results still replays the recorded traces instead of re-recording
-//! them, killing the sequential functional pass that otherwise bounds
-//! threaded speedup (the Amdahl wall).
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -47,18 +31,6 @@ use crate::system::SystemKind;
 /// results from older versions then simply stop matching and are
 /// recomputed. Leave it alone for pure refactors.
 pub const MODEL_VERSION: &str = "scu-sim-2";
-
-/// Version tag of the *functional* model, mixed into every
-/// [`Cell::semantic_key`].
-///
-/// Bump this whenever a change alters what the kernels *compute* —
-/// the per-thread memory traces or the algorithm answers: generators,
-/// frontier construction, filtering hash behaviour, kernel bodies.
-/// Timing-model changes (latencies, widths, DRAM efficiency, the
-/// roofline) do NOT bump it: they bump [`MODEL_VERSION`] and the
-/// recorded traces stay valid, which is the whole point of the
-/// two-level cache.
-pub const FUNCTIONAL_VERSION: &str = "scu-func-1";
 
 /// One fully-specified point of the experiment matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,128 +67,16 @@ impl Cell {
         )
     }
 
-    /// The content-addressed **timing-level** cache key: the full
-    /// configuration plus the model version. Every knob participates,
-    /// so any change — functional or timing — misses and recomputes.
-    /// The coarser [`Cell::semantic_key`] sits underneath it and keys
-    /// the recorded functional traces, which survive timing-only
-    /// changes. The byte layout of this key is load-bearing (it
-    /// addresses persisted results); do not reorder or rename fields.
+    /// The content-addressed cache key: the full configuration plus the
+    /// model version. Every knob participates, so any change —
+    /// functional or timing — misses and recomputes. The byte layout of
+    /// this key is load-bearing (it addresses persisted results); do
+    /// not reorder or rename fields.
     pub fn cache_key(&self) -> Value {
         Value::Object(vec![
             ("model".to_string(), Value::Str(MODEL_VERSION.to_string())),
             ("cell".to_string(), serde_json::to_value(self)),
         ])
-    }
-
-    /// The label of this cell's *functional* execution — which modes
-    /// run byte-identical kernel bodies and so may share recorded
-    /// traces. Derived from `runner::run_configured`'s dispatch:
-    /// the GPU baseline ignores the SCU entirely; BFS and CC have one
-    /// compaction-only variant (`ScuBasic`) and one filtered variant
-    /// (`ScuFilteringOnly` and `ScuEnhanced` differ only in SCU
-    /// timing); SSSP's three SCU modes all produce different
-    /// frontiers; K-Core and PageRank never filter, so every SCU mode
-    /// shares one functional execution.
-    fn functional_variant(&self) -> &'static str {
-        use Algorithm::*;
-        use Mode::*;
-        match (self.algorithm, self.mode) {
-            (_, GpuBaseline) => "gpu",
-            (Bfs | Cc, ScuBasic) | (Sssp, ScuBasic) => "scu-basic",
-            (Bfs | Cc, ScuFilteringOnly | ScuEnhanced) => "scu-filter",
-            (Sssp, ScuFilteringOnly) => "scu-filter",
-            (Sssp, ScuEnhanced) => "scu-enhanced",
-            (PageRank | KCore, _) => "scu",
-        }
-    }
-
-    /// The content-addressed **semantic** key: everything that shapes
-    /// what the kernels compute — and nothing that only shapes how
-    /// long the model says it took. Recorded functional traces are
-    /// persisted under this key, so two cells that differ only in
-    /// timing knobs (pipeline width, issue latencies, DRAM
-    /// efficiency, L1/L2 geometry, frequency, the `SimThreads` knob)
-    /// replay the same stored trace.
-    ///
-    /// What participates, and why:
-    /// - [`FUNCTIONAL_VERSION`], the algorithm, and the
-    ///   [`Cell::functional_variant`] — which kernel bodies run.
-    /// - Dataset, scale (exact bit pattern), and seed — the input.
-    /// - GPU launch geometry (`num_sms`, `threads_per_sm`,
-    ///   `warp_size`) — thread-to-warp-to-SM assignment shapes every
-    ///   recorded stream.
-    /// - PageRank's iteration cap, for PageRank only.
-    /// - For SCU modes: the three *hash-table geometries* of the
-    ///   effective SCU config. These look like timing knobs but are
-    ///   functional — a smaller or differently-associative filter
-    ///   table evicts differently, passes different duplicates, and
-    ///   changes the frontier the next kernel launch consumes. Every
-    ///   other `ScuConfig` field is timing-only and excluded.
-    pub fn semantic_key(&self) -> Value {
-        let gpu = self.system.gpu_config();
-        let mut fields = vec![
-            (
-                "func".to_string(),
-                Value::Str(FUNCTIONAL_VERSION.to_string()),
-            ),
-            (
-                "algo".to_string(),
-                Value::Str(self.algorithm.name().to_string()),
-            ),
-            (
-                "variant".to_string(),
-                Value::Str(self.functional_variant().to_string()),
-            ),
-            ("dataset".to_string(), serde_json::to_value(&self.dataset)),
-            ("scale_bits".to_string(), Value::U64(self.scale.to_bits())),
-            ("seed".to_string(), Value::U64(self.seed)),
-            (
-                "geometry".to_string(),
-                Value::Object(vec![
-                    ("num_sms".to_string(), Value::U64(gpu.num_sms as u64)),
-                    (
-                        "threads_per_sm".to_string(),
-                        Value::U64(gpu.threads_per_sm as u64),
-                    ),
-                    ("warp_size".to_string(), Value::U64(gpu.warp_size as u64)),
-                ]),
-            ),
-        ];
-        if self.algorithm == Algorithm::PageRank {
-            fields.push(("pr_iters".to_string(), Value::U64(self.pr_iters as u64)));
-        }
-        if self.mode.uses_scu() {
-            let scu = self
-                .scu_config
-                .clone()
-                .unwrap_or_else(|| self.system.scu_config());
-            fields.push((
-                "hash".to_string(),
-                Value::Object(vec![
-                    (
-                        "filter_bfs".to_string(),
-                        serde_json::to_value(&scu.filter_bfs_hash),
-                    ),
-                    (
-                        "filter_sssp".to_string(),
-                        serde_json::to_value(&scu.filter_sssp_hash),
-                    ),
-                    (
-                        "grouping".to_string(),
-                        serde_json::to_value(&scu.grouping_hash),
-                    ),
-                ]),
-            ));
-        }
-        Value::Object(fields)
-    }
-
-    /// [`Cell::semantic_key`] serialised — the string the trace cache
-    /// embeds in every stored blob and verifies on load.
-    pub fn semantic_key_string(&self) -> String {
-        serde_json::to_string(&self.semantic_key())
-            .expect("a hand-built key object always serialises")
     }
 
     /// Runs the cell: builds (or reuses) the input graph, simulates,
@@ -228,11 +88,6 @@ impl Cell {
         // panic, stall, or flake deterministically.
         scu_harness::failpoint::apply("cell-run");
         let g = shared_graph(self.dataset, self.scale, self.seed);
-        // Scope a trace-cache session over the simulation: warm
-        // sessions feed recorded per-SM streams straight to the
-        // timing lanes; cold ones record for next time. Dropping the
-        // scope (even on panic) finalises the session.
-        let _trace = scu_gpu::trace_cache::begin_cell(&self.semantic_key_string());
         let out = run_configured(
             self.algorithm,
             &g,
@@ -250,7 +105,6 @@ impl Cell {
     pub fn run_traced(&self) -> (CellResult, Timeline) {
         scu_harness::failpoint::apply("cell-run");
         let g = shared_graph(self.dataset, self.scale, self.seed);
-        let _trace = scu_gpu::trace_cache::begin_cell(&self.semantic_key_string());
         let out = run_configured(
             self.algorithm,
             &g,
@@ -518,142 +372,6 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c.cache_key());
         assert_eq!(a, tiny_cell(Mode::GpuBaseline).cache_key());
-    }
-
-    #[test]
-    fn semantic_key_ignores_timing_knobs() {
-        let base = tiny_cell(Mode::ScuEnhanced);
-        let mut timed = base.clone();
-        let mut cfg = base.system.scu_config();
-        cfg.pipeline_width *= 2;
-        cfg.op_setup_cycles += 100;
-        cfg.op_issue_ns *= 3.0;
-        cfg.dram_efficiency = 0.5;
-        cfg.freq_ghz *= 2.0;
-        cfg.coalescer_in_flight += 8;
-        timed.scu_config = Some(cfg);
-        // Timing knobs: the semantic key is unchanged (the stored
-        // trace replays), but the result-level key still misses.
-        assert_eq!(base.semantic_key(), timed.semantic_key());
-        assert_ne!(base.cache_key(), timed.cache_key());
-        // `None` and an explicit platform-default config describe the
-        // same functional machine.
-        let mut explicit = base.clone();
-        explicit.scu_config = Some(base.system.scu_config());
-        assert_eq!(base.semantic_key(), explicit.semantic_key());
-    }
-
-    #[test]
-    fn semantic_key_tracks_functional_knobs() {
-        let base = tiny_cell(Mode::ScuEnhanced);
-        // Hash-table geometry is functional: eviction changes which
-        // duplicates the filter passes, hence the next frontier.
-        let mut hash = base.clone();
-        let mut cfg = base.system.scu_config();
-        cfg.filter_bfs_hash.size_bytes /= 2;
-        hash.scu_config = Some(cfg);
-        assert_ne!(base.semantic_key(), hash.semantic_key());
-        // So are the input and the algorithm.
-        let mut seed = base.clone();
-        seed.seed += 1;
-        assert_ne!(base.semantic_key(), seed.semantic_key());
-        let mut scale = base.clone();
-        scale.scale /= 2.0;
-        assert_ne!(base.semantic_key(), scale.semantic_key());
-        let mut ds = base.clone();
-        ds.dataset = Dataset::Ca;
-        assert_ne!(base.semantic_key(), ds.semantic_key());
-        let mut algo = base.clone();
-        algo.algorithm = Algorithm::Cc;
-        assert_ne!(base.semantic_key(), algo.semantic_key());
-        // Launch geometry differs across platforms.
-        let mut sys = base.clone();
-        sys.system = SystemKind::Gtx980;
-        assert_ne!(base.semantic_key(), sys.semantic_key());
-    }
-
-    #[test]
-    fn semantic_key_scopes_pr_iters_and_baseline_scu_config() {
-        // The iteration cap only shapes PageRank's execution.
-        let mut pr = tiny_cell(Mode::ScuEnhanced);
-        pr.algorithm = Algorithm::PageRank;
-        let mut pr2 = pr.clone();
-        pr2.pr_iters += 1;
-        assert_ne!(pr.semantic_key(), pr2.semantic_key());
-        let bfs = tiny_cell(Mode::ScuEnhanced);
-        let mut bfs2 = bfs.clone();
-        bfs2.pr_iters += 1;
-        assert_eq!(bfs.semantic_key(), bfs2.semantic_key());
-        // The GPU baseline never consults the SCU, hash tables
-        // included — an SCU override cannot change what it computes.
-        let gpu = tiny_cell(Mode::GpuBaseline);
-        let mut gpu2 = gpu.clone();
-        let mut cfg = gpu.system.scu_config();
-        cfg.filter_bfs_hash.size_bytes /= 2;
-        gpu2.scu_config = Some(cfg);
-        assert_eq!(gpu.semantic_key(), gpu2.semantic_key());
-    }
-
-    #[test]
-    fn functional_variants_share_traces_where_kernels_agree() {
-        // BFS filtering-only and enhanced run identical kernel
-        // bodies — only SCU timing differs — so they share one trace.
-        let a = tiny_cell(Mode::ScuFilteringOnly);
-        let b = tiny_cell(Mode::ScuEnhanced);
-        assert_eq!(a.semantic_key(), b.semantic_key());
-        // SSSP's enhanced mode changes the frontier itself.
-        let mut sa = a.clone();
-        sa.algorithm = Algorithm::Sssp;
-        let mut sb = b.clone();
-        sb.algorithm = Algorithm::Sssp;
-        assert_ne!(sa.semantic_key(), sb.semantic_key());
-        // Compaction-only and baseline never share with filtering.
-        assert_ne!(tiny_cell(Mode::ScuBasic).semantic_key(), a.semantic_key());
-        assert_ne!(
-            tiny_cell(Mode::GpuBaseline).semantic_key(),
-            a.semantic_key()
-        );
-    }
-
-    #[test]
-    fn warm_trace_replay_reproduces_the_cold_result() {
-        use std::collections::HashMap;
-        use std::sync::Mutex;
-
-        #[derive(Default)]
-        struct MapStore(Mutex<HashMap<String, Vec<u8>>>);
-        impl scu_gpu::trace_cache::TraceStore for MapStore {
-            fn load(&self, key: &str) -> scu_gpu::trace_cache::TraceLoad {
-                match self.0.lock().unwrap().get(key) {
-                    Some(b) => scu_gpu::trace_cache::TraceLoad::Data(b.clone()),
-                    None => scu_gpu::trace_cache::TraceLoad::Missing,
-                }
-            }
-            fn store(&self, key: &str, bytes: &[u8]) -> bool {
-                self.0
-                    .lock()
-                    .unwrap()
-                    .insert(key.to_string(), bytes.to_vec());
-                true
-            }
-        }
-
-        let cell = tiny_cell(Mode::ScuEnhanced);
-        let plain = cell.run();
-        let store = Arc::new(MapStore::default());
-        scu_gpu::trace_cache::install(Some(store.clone()));
-        let cold = cell.run();
-        let o = scu_gpu::trace_cache::last_cell_outcome().expect("session ran");
-        assert!(!o.hit && o.stored && !o.poisoned);
-        assert_eq!(o.key, cell.semantic_key_string());
-        let warm = cell.run();
-        let o2 = scu_gpu::trace_cache::last_cell_outcome().expect("session ran");
-        scu_gpu::trace_cache::install(None);
-        assert!(o2.hit && o2.bytes_replayed > 0);
-        // Byte-identical simulated metrics, answers, and timelines
-        // across plain / cold-recording / warm-replay execution.
-        assert_eq!(plain, cold);
-        assert_eq!(plain, warm);
     }
 
     #[test]

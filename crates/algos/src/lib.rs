@@ -51,13 +51,9 @@ pub mod runner;
 pub mod sssp;
 pub mod system;
 
-pub use cell::{
-    mount_graph_artifacts, shared_graph, Cell, CellResult, FUNCTIONAL_VERSION, MODEL_VERSION,
-};
+pub use cell::{mount_graph_artifacts, shared_graph, Cell, CellResult, MODEL_VERSION};
 pub use experiment::{plan_cells, ExperimentConfig, ALL_MODES};
 pub use report::{Phase, RunReport};
 pub use runner::{run, Algorithm, Mode, RunOutput};
-pub use scu_gpu::trace_cache;
-pub use scu_gpu::SimThreads;
 pub use scu_graph::artifact as graph_artifact;
 pub use system::{System, SystemKind};

@@ -5,23 +5,20 @@
 //! gate alongside the micro-benches (see `EXPERIMENTS.md`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::collections::HashMap;
 use std::hint::black_box;
-use std::sync::{Arc, Mutex};
 
 use scu_algos::cell::Cell;
 use scu_algos::runner::{Algorithm, Mode};
-use scu_algos::trace_cache::{self, TraceLoad, TraceStore};
-use scu_algos::{SimThreads, SystemKind};
+use scu_algos::SystemKind;
 use scu_graph::Dataset;
 
 /// CI-sized cell: big enough to exercise multi-iteration frontiers,
 /// small enough for tens of samples.
-fn cell(algorithm: Algorithm, mode: Mode) -> Cell {
+fn cell(algorithm: Algorithm, system: SystemKind, mode: Mode) -> Cell {
     Cell {
         algorithm,
         dataset: Dataset::Kron,
-        system: SystemKind::Tx1,
+        system,
         mode,
         pr_iters: 3,
         scale: 1.0 / 128.0,
@@ -34,143 +31,29 @@ fn bench_cells(c: &mut Criterion) {
     let mut g = c.benchmark_group("cell");
     g.sample_size(10);
 
+    let mut cells = Vec::new();
     for algorithm in [Algorithm::Bfs, Algorithm::PageRank] {
         for mode in [Mode::GpuBaseline, Mode::ScuEnhanced] {
-            let cell = cell(algorithm, mode);
-            // Pre-build the shared graph so samples measure simulation,
-            // not first-touch generation.
-            black_box(scu_algos::shared_graph(cell.dataset, cell.scale, cell.seed));
-            g.bench_function(BenchmarkId::new(algorithm.name(), mode.name()), move |b| {
-                b.iter(|| black_box(cell.run()));
-            });
+            let id = BenchmarkId::new(algorithm.name(), mode.name());
+            cells.push((id, cell(algorithm, SystemKind::Tx1, mode)));
         }
     }
-
-    g.finish();
-}
-
-/// Thread-scaling of the engine's per-SM timing lanes: the same
-/// GTX980 cell (16 SMs, so up to 16 lanes) at 1, 2 and 4 lanes.
-/// Results are byte-identical across variants — only wall-clock moves
-/// — so `t1` doubles as the sequential-path regression guard and
-/// `t4`'s ratio to it tracks the parallel speedup in the gate.
-fn bench_thread_scaling(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cell-threads");
-    g.sample_size(10);
-
-    let cell = Cell {
-        algorithm: Algorithm::Bfs,
-        dataset: Dataset::Kron,
-        system: SystemKind::Gtx980,
-        mode: Mode::GpuBaseline,
-        pr_iters: 3,
-        scale: 1.0 / 128.0,
-        seed: 42,
-        scu_config: None,
-    };
-    black_box(scu_algos::shared_graph(cell.dataset, cell.scale, cell.seed));
-
-    for threads in [1usize, 2, 4] {
-        let cell = cell.clone();
-        // Tag records measured on a host with fewer cores than the lane
-        // count requests: the timing is honest for this machine but must
-        // not land in the committed baseline (bench_gate refuses it).
-        criterion::mark_degraded(scu_gpu::parallelism_degraded(threads));
-        g.bench_function(
-            BenchmarkId::new("BFS-GTX980-gpu", format!("t{threads}")),
-            move |b| {
-                SimThreads::set(threads);
-                b.iter(|| black_box(cell.run()));
-            },
-        );
-    }
-    criterion::mark_degraded(false);
-    SimThreads::set(1);
-
-    g.finish();
-}
-
-/// In-memory [`TraceStore`] for the warm/cold benches — no disk I/O in
-/// the measured loop, so the delta between variants is purely the
-/// functional recording the warm path skips.
-#[derive(Default)]
-struct MemStore(Mutex<HashMap<String, Vec<u8>>>);
-
-impl TraceStore for MemStore {
-    fn load(&self, key: &str) -> TraceLoad {
-        match self.0.lock().unwrap().get(key) {
-            Some(b) => TraceLoad::Data(b.clone()),
-            None => TraceLoad::Missing,
-        }
-    }
-    fn store(&self, key: &str, bytes: &[u8]) -> bool {
-        self.0
-            .lock()
-            .unwrap()
-            .insert(key.to_string(), bytes.to_vec());
-        true
-    }
-}
-
-/// Functional-trace cache overhead and payoff on one cell: `cold`
-/// clears the store every sample (records + stores each run), `warm`
-/// replays the recorded trace, `disabled` runs with the cache off —
-/// the no-regression guard for the uncached path. All three produce
-/// byte-identical results; only wall-clock differs.
-fn bench_trace_cache(c: &mut Criterion) {
-    let mut g = c.benchmark_group("trace-cache");
-    g.sample_size(10);
-
-    let cell = Cell {
-        algorithm: Algorithm::Bfs,
-        dataset: Dataset::Kron,
-        system: SystemKind::Gtx980,
-        mode: Mode::GpuBaseline,
-        pr_iters: 3,
-        scale: 1.0 / 128.0,
-        seed: 42,
-        scu_config: None,
-    };
-    black_box(scu_algos::shared_graph(cell.dataset, cell.scale, cell.seed));
-
-    let store = Arc::new(MemStore::default());
-    trace_cache::set_enabled(true);
-    trace_cache::install(Some(store.clone()));
-
-    {
-        let store = Arc::clone(&store);
-        let cell = cell.clone();
-        g.bench_function(BenchmarkId::new("BFS-GTX980-gpu", "cold"), move |b| {
-            b.iter(|| {
-                store.0.lock().unwrap().clear();
-                black_box(cell.run())
-            });
-        });
-    }
-    {
-        let cell = cell.clone();
-        cell.run(); // prime the store so every sample replays
-        g.bench_function(BenchmarkId::new("BFS-GTX980-gpu", "warm"), move |b| {
+    // The 16-SM part: the widest warp-to-SM spread the engine models.
+    cells.push((
+        BenchmarkId::new("BFS-GTX980", "gpu"),
+        cell(Algorithm::Bfs, SystemKind::Gtx980, Mode::GpuBaseline),
+    ));
+    for (id, cell) in cells {
+        // Pre-build the shared graph so samples measure simulation,
+        // not first-touch generation.
+        black_box(scu_algos::shared_graph(cell.dataset, cell.scale, cell.seed));
+        g.bench_function(id, move |b| {
             b.iter(|| black_box(cell.run()));
         });
     }
-    trace_cache::install(None);
-    trace_cache::set_enabled(false);
-    {
-        let cell = cell.clone();
-        g.bench_function(BenchmarkId::new("BFS-GTX980-gpu", "disabled"), move |b| {
-            b.iter(|| black_box(cell.run()));
-        });
-    }
-    trace_cache::set_enabled(true);
 
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_cells,
-    bench_thread_scaling,
-    bench_trace_cache
-);
+criterion_group!(benches, bench_cells);
 criterion_main!(benches);

@@ -16,11 +16,6 @@
 //! (e.g. the recorded `reproduce_all` wall-clock). Run it on the
 //! reference machine after intentional perf changes and commit the
 //! result; see `EXPERIMENTS.md` for the workflow.
-//!
-//! Records tagged `"degraded": true` (emitted by the criterion stub
-//! when the host offered fewer cores than the bench requested) are
-//! warned about in compare mode and **refused** by `--update`: a
-//! baseline must never encode timings from an undersized host.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -33,8 +28,6 @@ use serde_json::Value;
 struct Sample {
     min_ns: f64,
     mean_ns: f64,
-    /// The record was measured with fewer cores than requested.
-    degraded: bool,
 }
 
 fn usage() -> ! {
@@ -85,7 +78,6 @@ fn read_results(path: &PathBuf) -> BTreeMap<String, Sample> {
             Sample {
                 min_ns: num("min_ns"),
                 mean_ns: num("mean_ns"),
-                degraded: matches!(v.get("degraded"), Some(Value::Bool(true))),
             },
         );
     }
@@ -107,20 +99,6 @@ fn read_baseline(path: &PathBuf, must_exist: bool) -> Value {
 }
 
 fn update_baseline(path: &PathBuf, results: &BTreeMap<String, Sample>) {
-    let degraded: Vec<&str> = results
-        .iter()
-        .filter(|(_, s)| s.degraded)
-        .map(|(name, _)| name.as_str())
-        .collect();
-    if !degraded.is_empty() {
-        fail(&format!(
-            "refusing --update: {} result(s) were measured with degraded parallelism \
-             (the host offered fewer cores than the bench requested): {}. \
-             Rerun on a machine with enough cores before refreshing the baseline.",
-            degraded.len(),
-            degraded.join(", ")
-        ));
-    }
     let doc = read_baseline(path, false);
     let mut entries: Vec<(String, Value)> = doc
         .as_object()
@@ -206,14 +184,6 @@ fn compare(path: &PathBuf, results: &BTreeMap<String, Sample>, tolerance_pct: f6
         if !benches.iter().any(|(k, _)| k == name) {
             println!("{name:<48} not in baseline — run --update to record it");
         }
-    }
-    let degraded = results.values().filter(|s| s.degraded).count();
-    if degraded > 0 {
-        eprintln!(
-            "bench_gate: warning: {degraded} result(s) tagged degraded — the host \
-             offered fewer cores than requested, so multi-thread timings understate \
-             real hardware (comparison still runs; --update would refuse them)"
-        );
     }
 
     if regressions > 0 {

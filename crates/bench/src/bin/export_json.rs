@@ -69,7 +69,6 @@ fn main() {
     if args.trace.is_some() {
         eprintln!("note: --trace is honoured by run_one and reproduce_all, not export_json");
     }
-    scu_algos::SimThreads::set(args.sim_threads);
     let cfg = ExperimentConfig::from_env();
     if let Err(e) = cfg.validate() {
         eprintln!("{e}");

@@ -40,9 +40,6 @@ const MODES: [Mode; 4] = [
 fn main() {
     let args = CliArgs::from_env();
     scu_harness::session::reject_unparsed_args(&args);
-    // Per-cell engine parallelism; the harness's apply_cli separately
-    // clamps jobs x sim-threads to the machine.
-    scu_algos::SimThreads::set(args.sim_threads);
     let cfg = ExperimentConfig::from_env();
     if let Err(e) = cfg.validate() {
         eprintln!("{e}");

@@ -8,9 +8,7 @@
 //!
 //! Scale/seed come from `SCU_SCALE` / `SCU_SEED` as usual. The result
 //! is cached under `results/cache` like the full sweep's cells; pass
-//! `--no-cache` to force a fresh simulation (recorded functional
-//! traces may still replay from the store — add `--no-trace-cache`
-//! for a fully cold run).
+//! `--no-cache` to force a fresh simulation without opening the store.
 //!
 //! With `--trace <path>` the cell always simulates fresh (a cached
 //! result has no event stream) and its timeline is written as a
@@ -21,12 +19,10 @@
 //! derived from the same timeline: total processing/compaction/SCU
 //! nanoseconds and the ten most expensive iterations — the quick
 //! "where does this cell's time go" view without leaving the
-//! terminal. Locally simulated cells also get a functional-trace
-//! cache verdict (semantic key, hit/miss, bytes replayed or stored;
-//! pass `--no-trace-cache` to force cold recording) and the graph
-//! artifact store's verdict (artifact key, hit/built/rebuilt, bytes
-//! mapped, generator wall time; pass `--no-graph-artifacts` to build
-//! in memory).
+//! terminal, plus the GPU engine's host wall-clock. Locally simulated
+//! cells also get the graph artifact store's verdict (artifact key,
+//! hit/built/rebuilt, bytes mapped, generator wall time; pass
+//! `--no-graph-artifacts` to build in memory).
 //!
 //! With `--remote URL` the cell is obtained from a running `scu_serve`
 //! daemon instead of simulated locally: a cached cell is fetched with
@@ -37,13 +33,24 @@
 
 use scu_algos::cell::{Cell, CellResult};
 use scu_algos::runner::{Algorithm, Mode};
-use scu_algos::{SimThreads, SystemKind};
+use scu_algos::SystemKind;
 use scu_bench::ExperimentConfig;
 use scu_graph::{Dataset, GraphStats};
 use scu_harness::{CliArgs, ResultCache};
 use scu_trace::chrome::chrome_trace_document;
 
 fn parse_args(args: &[String]) -> Result<(Algorithm, Dataset, SystemKind, Mode), String> {
+    // Flags the harness and this binary do not know, and positionals
+    // past the four cell coordinates, are errors — never ignored.
+    let unexpected: Vec<&str> = args
+        .iter()
+        .enumerate()
+        .filter(|(i, a)| *i >= 4 || a.starts_with('-'))
+        .map(|(_, a)| a.as_str())
+        .collect();
+    if !unexpected.is_empty() {
+        return Err(format!("unexpected arguments: {unexpected:?}"));
+    }
     let algo = match args.first().map(String::as_str) {
         None | Some("BFS") | Some("bfs") => Algorithm::Bfs,
         Some("SSSP") | Some("sssp") => Algorithm::Sssp,
@@ -75,13 +82,10 @@ fn parse_args(args: &[String]) -> Result<(Algorithm, Dataset, SystemKind, Mode),
 }
 
 /// Runs (or recalls) the cell; returns the result and whether it came
-/// from the cache. With the result cache open, the functional-trace
-/// cache is mounted on the same store (unless `--no-trace-cache`), so
-/// a re-simulation of a known cell replays its recorded traces.
-fn obtain(cell: &Cell, no_cache: bool, trace_cache: bool) -> (CellResult, bool) {
+/// from the cache.
+fn obtain(cell: &Cell, no_cache: bool) -> (CellResult, bool) {
     if !no_cache {
         if let Ok(cache) = ResultCache::open("results/cache") {
-            scu_harness::trace_bridge::install(Some(cache.backend()), trace_cache);
             let key = cell.cache_key();
             if let Some(value) = cache.load(&key) {
                 if let Ok(result) = CellResult::from_value(&value) {
@@ -94,13 +98,6 @@ fn obtain(cell: &Cell, no_cache: bool, trace_cache: bool) -> (CellResult, bool) 
                 eprintln!("cache store failed: {e}");
             }
             return (result, false);
-        }
-    } else if trace_cache {
-        // --no-cache recomputes the result, but recorded functional
-        // traces may still replay — they cannot change result bytes.
-        // --no-trace-cache on top makes the simulation fully cold.
-        if let Ok(cache) = ResultCache::open("results/cache") {
-            scu_harness::trace_bridge::install(Some(cache.backend()), true);
         }
     }
     (cell.run(), false)
@@ -160,8 +157,7 @@ fn obtain_remote(cell: &Cell, url: &str) -> Result<(CellResult, bool), String> {
 }
 
 const USAGE: &str = "usage: run_one [BFS|SSSP|PR|CC|KCORE] [dataset] [GTX980|TX1] [mode] \
-     [--no-cache] [--no-trace-cache] [--no-graph-artifacts] [--trace PATH] [--profile] \
-     [--sim-threads N] [--remote URL]";
+     [--no-cache] [--no-graph-artifacts] [--trace PATH] [--profile] [--remote URL]";
 
 fn main() {
     let args = CliArgs::from_env();
@@ -205,7 +201,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    SimThreads::set(args.sim_threads);
     let cfg = ExperimentConfig::from_env();
     if let Err(e) = dataset.validate_scale(cfg.scale) {
         eprintln!("{e}");
@@ -219,9 +214,9 @@ fn main() {
     // every entry path shares cache keys and result bytes.
     let cell = cfg.cell(algo, dataset, system, mode);
     if profile {
-        // Engine phase counters are process-global; zero them so the
-        // breakdown below covers exactly this cell's simulation.
-        scu_gpu::reset_phase_profile();
+        // The engine-time counter is process-global; zero it so the
+        // profile below covers exactly this cell's simulation.
+        scu_gpu::reset_engine_ns();
     }
     let g = scu_algos::shared_graph(dataset, cfg.scale, cfg.seed);
     let stats = GraphStats::of(&g);
@@ -256,7 +251,7 @@ fn main() {
                 }
                 (result, false)
             }
-            None => obtain(&cell, args.no_cache, !args.no_trace_cache),
+            None => obtain(&cell, args.no_cache),
         }
     };
     if cached {
@@ -328,9 +323,8 @@ fn main() {
     }
     if profile {
         print_profile(&result.phases);
-        print_engine_profile(cached, args.sim_threads);
+        print_engine_profile(cached);
         if remote.is_none() {
-            print_trace_outcome(cached);
             print_graph_outcome();
         }
     }
@@ -373,67 +367,16 @@ fn print_graph_outcome() {
     }
 }
 
-/// Renders the functional-trace cache's verdict for this cell: the
-/// semantic key it ran under, whether recorded traces were replayed
-/// (warm) or recorded fresh (cold), and how many bytes moved either
-/// way. A result-cache hit skips simulation entirely, so it reports
-/// no trace activity.
-fn print_trace_outcome(cached: bool) {
-    println!("\n--- profile: functional-trace cache ---");
-    match scu_algos::trace_cache::last_cell_outcome() {
-        None if cached => println!("no trace activity — result came from the result cache"),
-        None => println!("no trace activity — trace cache disabled or no store mounted"),
-        Some(o) => {
-            let verdict = if o.poisoned {
-                "poisoned — stored trace failed verification, fell back to cold recording"
-            } else if o.hit {
-                "hit — replayed recorded traces, functional recording skipped"
-            } else if o.stored {
-                "miss — recorded fresh traces and stored them"
-            } else if o.oversize {
-                "miss — recorded fresh traces; blob exceeded the size cap, not stored"
-            } else {
-                "miss — recorded fresh traces; store declined the blob"
-            };
-            println!("semantic key     {}", o.key);
-            println!("outcome          {verdict}");
-            println!("kernel launches  {:>12}", o.launches);
-            println!("bytes replayed   {:>12}", o.bytes_replayed);
-            println!("bytes stored     {:>12}", o.bytes_stored);
-        }
-    }
-}
-
-/// Renders the host wall-clock breakdown of the GPU engine's execution
-/// phases for this process: with `--sim-threads` > 1, time splits into
-/// the sequential functional pass, the parallel per-SM timing lanes
-/// and the ordered L2 replay; at 1 it all lands in the single
-/// sequential pass.
-fn print_engine_profile(cached: bool, sim_threads: usize) {
-    let p = scu_gpu::phase_profile();
-    println!("\n--- profile: engine wall-clock (host, sim-threads={sim_threads}) ---");
-    if p.total_ns() == 0 {
-        if cached {
-            println!("no engine time recorded — result came from the cache");
-        } else {
-            println!("no engine time recorded — no GPU kernels ran");
-        }
-        return;
-    }
-    let total = p.total_ns() as f64;
-    for (name, ns) in [
-        ("functional pass", p.functional_ns),
-        ("timing lanes", p.lane_ns),
-        ("ordered replay", p.replay_ns),
-        ("sequential path", p.sequential_ns),
-    ] {
-        if ns > 0 {
-            println!(
-                "{name:<16} {:>12.1} ms  {:>5.1} %",
-                ns as f64 / 1e6,
-                100.0 * ns as f64 / total
-            );
-        }
+/// Renders the GPU engine's host wall-clock for this process.
+fn print_engine_profile(cached: bool) {
+    let ns = scu_gpu::engine_ns();
+    println!("\n--- profile: engine wall-clock (host) ---");
+    if ns > 0 {
+        println!("GPU engine       {:>12.1} ms", ns as f64 / 1e6);
+    } else if cached {
+        println!("no engine time recorded — result came from the cache");
+    } else {
+        println!("no engine time recorded — no GPU kernels ran");
     }
 }
 

@@ -64,7 +64,6 @@ fn run_one_rejects_bad_flag_values() {
         &["--jobs", "zero"],
         "--jobs expects a positive integer",
     );
-    assert_rejects(bin, &["--sim-threads", "0"], "--sim-threads expects");
     assert_rejects(bin, &["--timeout-secs", "-1"], "--timeout-secs expects");
 }
 
@@ -76,7 +75,32 @@ fn sweep_binaries_reject_unexpected_positionals() {
     ] {
         assert_rejects(bin, &["bogus"], "unexpected arguments");
         assert_rejects(bin, &["--bogus-flag"], "unexpected arguments");
+        // Removed flags take the same unknown-flag path.
+        assert_rejects(bin, &["--sim-threads", "2"], "unexpected arguments");
+        assert_rejects(bin, &["--no-trace-cache"], "unexpected arguments");
     }
+}
+
+#[test]
+fn run_one_rejects_unknown_flags_and_extra_positionals() {
+    let bin = env!("CARGO_BIN_EXE_run_one");
+    assert_rejects(bin, &["--bogus-flag"], "unexpected arguments");
+    assert_rejects(
+        bin,
+        &["BFS", "kron", "TX1", "gpu", "extra"],
+        "unexpected arguments",
+    );
+    // Removed flags take the same unknown-flag path.
+    assert_rejects(
+        bin,
+        &["BFS", "kron", "TX1", "gpu", "--sim-threads", "2"],
+        "unexpected arguments",
+    );
+    assert_rejects(
+        bin,
+        &["BFS", "kron", "TX1", "gpu", "--no-trace-cache"],
+        "unexpected arguments",
+    );
 }
 
 #[test]

@@ -41,10 +41,7 @@ impl SeqStream {
     /// Only the first line of a span can already be in flight (each
     /// access re-anchors the in-flight line), so after skipping it the
     /// remainder is a clean consecutive run, expressed as one [`TxRun`]
-    /// and applied through the shared [`MemorySystem::apply_run`]
-    /// replay entry point — the same vocabulary the GPU engine's
-    /// ordered L2 replay uses, so both frontends drive the memory
-    /// system identically.
+    /// and applied through the shared [`MemorySystem::apply_run`].
     pub fn touch(&mut self, mem: &mut MemorySystem, addr: Addr, bytes: u64) {
         if bytes == 0 {
             return;

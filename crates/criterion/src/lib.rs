@@ -17,27 +17,9 @@
 //!   run can share one file.
 //! - `SCU_BENCH_SAMPLES=N` — override every group's `sample_size`,
 //!   letting CI run a fast smoke pass without editing the benches.
-//!
-//! Benches that need real parallelism can call [`mark_degraded`] when
-//! the host offers fewer cores than the benchmark requested; JSONL
-//! lines emitted while the flag is set carry `"degraded": true`, and
-//! `bench_gate` refuses to bake such records into the committed
-//! baseline.
 
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-
-static DEGRADED: AtomicBool = AtomicBool::new(false);
-
-/// Marks benchmark records emitted from now on as measured under
-/// degraded parallelism — the host offered fewer cores than the bench
-/// requested, so multi-thread timings understate real hardware. Set it
-/// before the affected `bench_function` call and clear it afterwards;
-/// tagged JSONL lines carry `"degraded": true`.
-pub fn mark_degraded(on: bool) {
-    DEGRADED.store(on, Ordering::Relaxed);
-}
 
 /// A two-part benchmark name (`function/parameter`).
 #[derive(Debug, Clone)]
@@ -180,9 +162,7 @@ fn report(name: &str, samples: &[Duration]) {
     );
     if let Ok(path) = std::env::var("SCU_BENCH_JSON") {
         if !path.is_empty() {
-            let degraded = DEGRADED.load(Ordering::Relaxed);
-            if let Err(e) = append_json_line(&path, name, *min, mean, *max, samples.len(), degraded)
-            {
+            if let Err(e) = append_json_line(&path, name, *min, mean, *max, samples.len()) {
                 eprintln!("SCU_BENCH_JSON: cannot append to {path}: {e}");
             }
         }
@@ -192,8 +172,6 @@ fn report(name: &str, samples: &[Duration]) {
 /// Appends one benchmark result as a JSON line (the format
 /// `bench_gate` consumes). Hand-rolled serialisation: the stub has no
 /// serde, and the only string field needs just quote/backslash escapes.
-/// The `degraded` tag is emitted only when set, so untagged lines keep
-/// their historical byte layout.
 fn append_json_line(
     path: &str,
     name: &str,
@@ -201,7 +179,6 @@ fn append_json_line(
     mean: Duration,
     max: Duration,
     samples: usize,
-    degraded: bool,
 ) -> std::io::Result<()> {
     let escaped: String = name
         .chars()
@@ -214,10 +191,9 @@ fn append_json_line(
         .create(true)
         .append(true)
         .open(path)?;
-    let tag = if degraded { ",\"degraded\":true" } else { "" };
     writeln!(
         f,
-        "{{\"name\":\"{escaped}\",\"min_ns\":{},\"mean_ns\":{},\"max_ns\":{},\"samples\":{samples}{tag}}}",
+        "{{\"name\":\"{escaped}\",\"min_ns\":{},\"mean_ns\":{},\"max_ns\":{},\"samples\":{samples}}}",
         min.as_nanos(),
         mean.as_nanos(),
         max.as_nanos(),
@@ -301,7 +277,6 @@ mod tests {
             Duration::from_nanos(20),
             Duration::from_nanos(30),
             5,
-            false,
         )
         .unwrap();
         append_json_line(
@@ -311,7 +286,6 @@ mod tests {
             Duration::from_nanos(2),
             Duration::from_nanos(3),
             1,
-            false,
         )
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -322,22 +296,6 @@ mod tests {
             "{\"name\":\"grp/with \\\"quote\\\"\",\"min_ns\":10,\"mean_ns\":20,\"max_ns\":30,\"samples\":5}"
         );
         assert!(lines[1].contains("\"name\":\"grp/second\""));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn degraded_records_carry_the_tag_and_clean_ones_do_not() {
-        let dir = std::env::temp_dir().join(format!("scu-criterion-deg-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench.jsonl");
-        let p = path.to_str().unwrap();
-        let ns = Duration::from_nanos(7);
-        append_json_line(p, "scale/t4", ns, ns, ns, 3, true).unwrap();
-        append_json_line(p, "scale/t1", ns, ns, ns, 3, false).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[0].ends_with(",\"degraded\":true}"));
-        assert!(!lines[1].contains("degraded"), "clean lines stay untagged");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

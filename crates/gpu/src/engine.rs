@@ -8,31 +8,21 @@
 //! L2/DRAM. Execution time is the max of throughput, bandwidth,
 //! latency and atomic-serialisation bounds (see
 //! [`crate::stats::TimeBounds`]).
-//!
-//! With [`SimThreads`] above 1 the timing reconstruction runs as three
-//! phases — sequential functional pass, parallel per-SM timing lanes,
-//! sequential ordered L2 replay (see [`crate::lanes`]) — and is
-//! guaranteed byte-identical to the single-threaded path: the shared
-//! [`MemorySystem`] observes the exact same access sequence and
-//! `total_latency_ns` performs the exact same f64 addition sequence.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use scu_mem::cache::{AccessKind, Cache, CacheConfig};
+use scu_mem::cache::{AccessKind, Cache};
 use scu_mem::coalescer::WarpCoalescer;
-use scu_mem::line::{Addr, LineSize};
+use scu_mem::line::Addr;
 use scu_mem::stats::CacheStats;
-use scu_mem::system::{MemorySystem, TxRun};
+use scu_mem::system::MemorySystem;
 
 use scu_trace::{Event, MemSource, Probe};
 
 use crate::config::GpuConfig;
 use crate::kernel::{MemOp, ThreadCtx};
-use crate::lanes::{LaneBuf, LaneParams, LanePool, LaneTask, LaneWarp, ReplayOp};
 use crate::stats::{KernelStats, TimeBounds};
-use crate::threads::SimThreads;
-use crate::trace_cache::{self, LaunchDisposition};
 
 /// Time charged per serialised same-address atomic at the L2, ns.
 ///
@@ -54,20 +44,11 @@ struct RunScratch {
     atomic_counts: HashMap<Addr, u64>,
 }
 
-/// Mutable launch accumulators threaded through the execution paths so
-/// both the sequential loop and the three-phase pipeline fill the same
-/// state.
-struct LaunchTally<'a> {
-    stats: &'a mut KernelStats,
-    sm_slots: &'a mut [u64],
-    sm_l1_tx: &'a mut [u64],
-    total_latency_ns: &'a mut f64,
-}
-
-/// A minimal throwaway cache parked in an L1 slot while the real cache
-/// is out on a lane worker (1 set x 1 way, trivial to allocate).
-fn placeholder_cache() -> Cache {
-    Cache::new(CacheConfig::new(128, LineSize::L128, 1).expect("static placeholder geometry"))
+/// Per-SM tallies one launch's warp loop hands to the time bounds.
+struct WarpTally {
+    sm_slots: Vec<u64>,
+    sm_l1_tx: Vec<u64>,
+    total_latency_ns: f64,
 }
 
 /// The GPU execution engine: owns per-SM L1 caches and executes kernel
@@ -79,14 +60,6 @@ pub struct GpuEngine {
     coalescer: WarpCoalescer,
     probe: Probe,
     scratch: RunScratch,
-    /// Per-SM lane buffers, reused across launches (threaded path).
-    lane_bufs: Vec<LaneBuf>,
-    /// Persistent lane worker pool; built on the first threaded launch
-    /// and rebuilt only when the effective thread count changes.
-    pool: Option<LanePool>,
-    /// Test-only pin of the thread count, bypassing the process-global
-    /// [`SimThreads`] knob (parallel unit tests must not race on it).
-    thread_override: Option<usize>,
 }
 
 impl GpuEngine {
@@ -105,18 +78,7 @@ impl GpuEngine {
             coalescer,
             probe: Probe::off(),
             scratch: RunScratch::default(),
-            lane_bufs: Vec::new(),
-            pool: None,
-            thread_override: None,
         }
-    }
-
-    /// Pins this engine's timing-lane thread count, ignoring the
-    /// process-global [`SimThreads`] knob. Unit tests run concurrently
-    /// in one process, so they use this instead of the global.
-    #[cfg(test)]
-    fn set_thread_override(&mut self, n: Option<usize>) {
-        self.thread_override = n;
     }
 
     /// The configuration this engine was built with.
@@ -164,9 +126,7 @@ impl GpuEngine {
             threads: threads as u64,
         });
 
-        let warp_size = self.cfg.warp_size as usize;
-        let num_sms = self.cfg.num_sms as usize;
-        let n_warps = threads.div_ceil(warp_size);
+        let n_warps = threads.div_ceil(self.cfg.warp_size as usize);
 
         let l1_before: Vec<CacheStats> = self.l1s.iter().map(|c| *c.stats()).collect();
         let mem_before = mem.stats();
@@ -179,60 +139,14 @@ impl GpuEngine {
             ..KernelStats::default()
         };
 
-        let mut sm_slots = vec![0u64; num_sms];
-        let mut sm_l1_tx = vec![0u64; num_sms];
-        let mut total_latency_ns = 0.0f64;
-
-        // Batched store runs are only valid when L1 lines and L2 lines
-        // coincide (they do on both modelled platforms).
-        let line_bytes = self.cfg.l1.line_size.bytes() as u64;
-        let params = LaneParams {
-            line_size: self.cfg.l1.line_size,
-            line_bytes,
-            same_line_size: line_bytes == mem.config().l2.line_size.bytes() as u64,
-        };
-
-        // Effective lane count: the SimThreads knob (or a test pin),
-        // capped at one lane per SM. Launches under one warp per SM
-        // stay sequential — fan-out overhead would dominate, and the
-        // result is byte-identical on either path.
-        let workers = self
-            .thread_override
-            .unwrap_or_else(SimThreads::get)
-            .clamp(1, num_sms);
-        self.scratch.atomic_counts.clear();
-        let mut tally = LaunchTally {
-            stats: &mut stats,
-            sm_slots: &mut sm_slots,
-            sm_l1_tx: &mut sm_l1_tx,
-            total_latency_ns: &mut total_latency_ns,
-        };
-        // An active trace-cache session forces the lane path (its
-        // buffers are the unit the cache records and replays); without
-        // one the engine keeps its original threshold — both paths are
-        // byte-identical, so this is purely a routing choice.
-        match trace_cache::launch_begin(threads, num_sms, warp_size) {
-            LaunchDisposition::Replay(rec) => {
-                self.replay_recorded(mem, threads, &mut body, &mut tally, params, workers, rec);
-            }
-            LaunchDisposition::Record => {
-                self.run_lanes(mem, threads, &mut body, &mut tally, params, workers, true);
-            }
-            LaunchDisposition::None => {
-                if workers >= 2 && n_warps >= num_sms {
-                    self.run_lanes(mem, threads, &mut body, &mut tally, params, workers, false);
-                } else {
-                    let t0 = Instant::now();
-                    self.run_warps_sequential(mem, threads, &mut body, &mut tally, params);
-                    crate::threads::record_sequential(t0.elapsed());
-                }
-            }
-        }
+        let t0 = Instant::now();
+        let tally = self.run_warps(mem, threads, &mut body, &mut stats);
+        crate::profile::record_launch(t0.elapsed());
 
         // Assemble the time bounds.
         let cycle = self.cfg.cycle_ns();
-        let max_sm_slots = sm_slots.iter().copied().max().unwrap_or(0);
-        let max_sm_tx = sm_l1_tx.iter().copied().max().unwrap_or(0);
+        let max_sm_slots = tally.sm_slots.iter().copied().max().unwrap_or(0);
+        let max_sm_tx = tally.sm_l1_tx.iter().copied().max().unwrap_or(0);
 
         let compute_ns = max_sm_slots as f64 * cycle / self.cfg.issue_width as f64;
         let l1_ns = max_sm_tx as f64 * cycle;
@@ -240,7 +154,7 @@ impl GpuEngine {
             (mem.service_time_ns() - service_before).max(0.0) / self.cfg.dram_efficiency;
         let concurrency =
             (n_warps as f64).min(self.cfg.max_resident_warps() as f64) * self.cfg.mlp_per_warp;
-        let latency_ns = total_latency_ns / concurrency.max(1.0);
+        let latency_ns = tally.total_latency_ns / concurrency.max(1.0);
         let max_conflicts = self
             .scratch
             .atomic_counts
@@ -278,21 +192,31 @@ impl GpuEngine {
         stats
     }
 
-    /// The original single-threaded warp loop: runs thread bodies,
-    /// drives the per-SM L1s and the shared memory system warp by warp.
-    fn run_warps_sequential<F>(
+    /// The warp loop: runs thread bodies and drives the per-SM L1s and
+    /// the shared memory system warp by warp, counting into `stats`.
+    fn run_warps<F>(
         &mut self,
         mem: &mut MemorySystem,
         threads: usize,
         body: &mut F,
-        tally: &mut LaunchTally<'_>,
-        params: LaneParams,
-    ) where
+        stats: &mut KernelStats,
+    ) -> WarpTally
+    where
         F: FnMut(usize, &mut ThreadCtx),
     {
         let warp_size = self.cfg.warp_size as usize;
         let num_sms = self.cfg.num_sms as usize;
         let n_warps = threads.div_ceil(warp_size);
+        let mut tally = WarpTally {
+            sm_slots: vec![0; num_sms],
+            sm_l1_tx: vec![0; num_sms],
+            total_latency_ns: 0.0,
+        };
+
+        // Batched store runs are only valid when L1 lines and L2 lines
+        // coincide (they do on both modelled platforms).
+        let line_bytes = self.cfg.l1.line_size.bytes() as u64;
+        let same_line_size = line_bytes == mem.config().l2.line_size.bytes() as u64;
 
         // Borrow the scratch buffers apart from `l1s`/`coalescer` so
         // the warp loop reuses them without fighting the borrow checker.
@@ -324,16 +248,16 @@ impl GpuEngine {
                 let mems = &warp_traces[k];
                 for op in mems.iter() {
                     if op.atomic {
-                        tally.stats.atomics += 1;
+                        stats.atomics += 1;
                         *atomic_counts.entry(op.addr).or_insert(0) += 1;
                     } else if op.write {
-                        tally.stats.stores += 1;
+                        stats.stores += 1;
                     } else {
-                        tally.stats.loads += 1;
+                        stats.loads += 1;
                     }
                 }
                 alu_max = alu_max.max(alu);
-                tally.stats.thread_insts += alu + mems.len() as u64;
+                stats.thread_insts += alu + mems.len() as u64;
                 mem_slot_count = mem_slot_count.max(mems.len());
             }
 
@@ -357,20 +281,20 @@ impl GpuEngine {
                 }
 
                 if !loads.is_empty() {
-                    tally.stats.mem_slots += 1;
+                    stats.mem_slots += 1;
                     self.coalescer.transactions_into(loads, tx);
                     for &line in tx.iter() {
                         warp_tx += 1;
                         let l1_out = self.l1s[sm].access(line, AccessKind::Read);
-                        *tally.total_latency_ns += self.cfg.l1_hit_latency_ns;
+                        tally.total_latency_ns += self.cfg.l1_hit_latency_ns;
                         if !l1_out.hit {
                             let out = mem.access(line, AccessKind::Read);
-                            *tally.total_latency_ns += out.latency_ns;
+                            tally.total_latency_ns += out.latency_ns;
                         }
                     }
                 }
                 if !stores.is_empty() {
-                    tally.stats.mem_slots += 1;
+                    stats.mem_slots += 1;
                     // Global stores are write-through, no-allocate on
                     // Maxwell: they bypass the L1 and go to the L2.
                     // Consecutive-line spans (the common coalesced
@@ -381,9 +305,9 @@ impl GpuEngine {
                     while i < tx.len() {
                         let start = tx[i];
                         let mut len = 1u64;
-                        if params.same_line_size {
+                        if same_line_size {
                             while i + (len as usize) < tx.len()
-                                && tx[i + len as usize] == start + len * params.line_bytes
+                                && tx[i + len as usize] == start + len * line_bytes
                             {
                                 len += 1;
                             }
@@ -397,253 +321,24 @@ impl GpuEngine {
                     }
                 }
                 if !atomics.is_empty() {
-                    tally.stats.mem_slots += 1;
+                    stats.mem_slots += 1;
                     // Atomics resolve at the L2.
                     self.coalescer.transactions_into(atomics, tx);
                     for &line in tx.iter() {
                         warp_tx += 1;
                         let out = mem.access(line, AccessKind::Write);
-                        *tally.total_latency_ns += self.cfg.atomic_latency_ns + out.latency_ns;
+                        tally.total_latency_ns += self.cfg.atomic_latency_ns + out.latency_ns;
                     }
                 }
             }
 
-            tally.stats.transactions += warp_tx;
+            stats.transactions += warp_tx;
             tally.sm_l1_tx[sm] += warp_tx;
             let slots = alu_max + mem_slot_count as u64;
-            tally.stats.warp_slots += slots;
+            stats.warp_slots += slots;
             tally.sm_slots[sm] += slots;
         }
-    }
-
-    /// The lane path: sequential functional pass (phase A), parallel
-    /// per-SM timing lanes (phase B), ordered replay (phase C). With
-    /// `store_trace`, the filled lane buffers are appended to the
-    /// active trace-cache recording between phases B and C.
-    #[allow(clippy::too_many_arguments)]
-    fn run_lanes<F>(
-        &mut self,
-        mem: &mut MemorySystem,
-        threads: usize,
-        body: &mut F,
-        tally: &mut LaunchTally<'_>,
-        params: LaneParams,
-        workers: usize,
-        store_trace: bool,
-    ) where
-        F: FnMut(usize, &mut ThreadCtx),
-    {
-        let warp_size = self.cfg.warp_size as usize;
-        let num_sms = self.cfg.num_sms as usize;
-        let n_warps = threads.div_ceil(warp_size);
-        let t0 = Instant::now();
-        self.record_warp_traces(threads, body);
-        let functional = t0.elapsed();
-        let t1 = Instant::now();
-        self.dispatch_lanes(workers, params);
-        self.collect_lanes();
-        let lane = t1.elapsed();
-        if store_trace {
-            trace_cache::record_launch(threads, num_sms, warp_size, &self.lane_bufs[..num_sms]);
-        }
-        let t2 = Instant::now();
-        self.replay_lanes(mem, n_warps, tally);
-        crate::threads::record_threaded(functional, lane, t2.elapsed());
-    }
-
-    /// The warm trace-cache path: the recorded per-SM streams go to
-    /// the timing lanes directly, and the kernel bodies re-run *while
-    /// the lanes work* — with recording off, since device-memory side
-    /// effects are all the functional pass still has to produce.
-    #[allow(clippy::too_many_arguments)]
-    fn replay_recorded<F>(
-        &mut self,
-        mem: &mut MemorySystem,
-        threads: usize,
-        body: &mut F,
-        tally: &mut LaunchTally<'_>,
-        params: LaneParams,
-        workers: usize,
-        rec: trace_cache::LaunchReplay,
-    ) where
-        F: FnMut(usize, &mut ThreadCtx),
-    {
-        let num_sms = self.cfg.num_sms as usize;
-        let n_warps = threads.div_ceil(self.cfg.warp_size as usize);
-        if self.lane_bufs.len() < num_sms {
-            self.lane_bufs.resize_with(num_sms, LaneBuf::default);
-        }
-        for (buf, sm_rec) in self.lane_bufs.iter_mut().zip(rec.sms) {
-            buf.begin_launch();
-            buf.ops = sm_rec.ops;
-            buf.lane_lens = sm_rec.lane_lens;
-            buf.warps = sm_rec.warps;
-            buf.alu_total = sm_rec.alu_total;
-        }
-        let t1 = Instant::now();
-        self.dispatch_lanes(workers, params);
-        let t0 = Instant::now();
-        let mut ctx = ThreadCtx::new();
-        ctx.set_recording(false);
-        for tid in 0..threads {
-            body(tid, &mut ctx);
-        }
-        let functional = t0.elapsed();
-        self.collect_lanes();
-        let lane = t1.elapsed().saturating_sub(functional);
-        let t2 = Instant::now();
-        self.replay_lanes(mem, n_warps, tally);
-        crate::threads::record_threaded(functional, lane, t2.elapsed());
-    }
-
-    /// Phase A of the lane path: the sequential functional pass.
-    ///
-    /// Runs every thread body in canonical order (lanes share device
-    /// memory, so this cannot parallelise), appending each warp's
-    /// per-lane traces into its SM's [`LaneBuf`]. Op classification
-    /// and slot accounting moved into the parallel lanes (phase B);
-    /// this loop keeps only what the bodies alone can produce: the
-    /// traces and the per-lane ALU counters.
-    fn record_warp_traces<F>(&mut self, threads: usize, body: &mut F)
-    where
-        F: FnMut(usize, &mut ThreadCtx),
-    {
-        let warp_size = self.cfg.warp_size as usize;
-        let num_sms = self.cfg.num_sms as usize;
-        let n_warps = threads.div_ceil(warp_size);
-
-        if self.lane_bufs.len() < num_sms {
-            self.lane_bufs.resize_with(num_sms, LaneBuf::default);
-        }
-        for buf in &mut self.lane_bufs[..num_sms] {
-            buf.begin_launch();
-        }
-
-        let mut ctx = ThreadCtx::new();
-        for w in 0..n_warps {
-            let sm = w % num_sms;
-            let first = w * warp_size;
-            let last = ((w + 1) * warp_size).min(threads);
-            let buf = &mut self.lane_bufs[sm];
-            let mut alu_max = 0u64;
-            let mut max_ops = 0usize;
-            for tid in first..last {
-                body(tid, &mut ctx);
-                let before = buf.ops.len();
-                let alu = ctx.drain_trace_append(&mut buf.ops);
-                let n_ops = buf.ops.len() - before;
-                buf.lane_lens.push(n_ops as u32);
-                alu_max = alu_max.max(alu);
-                buf.alu_total += alu;
-                max_ops = max_ops.max(n_ops);
-            }
-            buf.warps.push(LaneWarp {
-                lanes: (last - first) as u32,
-                max_ops: max_ops as u32,
-                alu_max,
-            });
-        }
-    }
-
-    /// Phase B dispatch: fan each SM's traces plus its L1 out to the
-    /// lane pool. Caches and buffers move by ownership — no shared
-    /// state, no locks.
-    fn dispatch_lanes(&mut self, workers: usize, params: LaneParams) {
-        let num_sms = self.cfg.num_sms as usize;
-        if self.pool.as_ref().map(LanePool::workers) != Some(workers) {
-            self.pool = Some(LanePool::new(workers));
-        }
-        let pool = self.pool.as_ref().expect("pool ensured above");
-        for sm in 0..num_sms {
-            let buf = std::mem::take(&mut self.lane_bufs[sm]);
-            let cache = std::mem::replace(&mut self.l1s[sm], placeholder_cache());
-            pool.dispatch(LaneTask {
-                sm,
-                buf,
-                cache,
-                params,
-            });
-        }
-    }
-
-    /// Phase B collect: re-slot the completed lane tasks.
-    fn collect_lanes(&mut self) {
-        let num_sms = self.cfg.num_sms as usize;
-        let pool = self.pool.as_ref().expect("collect follows dispatch");
-        for _ in 0..num_sms {
-            let task = pool.collect();
-            self.l1s[task.sm] = task.cache;
-            self.lane_bufs[task.sm] = task.buf;
-        }
-    }
-
-    /// Phase C of the threaded path: replay the per-SM streams against
-    /// the shared L2/DRAM in canonical warp-index order, reproducing
-    /// the sequential engine's exact access sequence and f64 latency
-    /// addition order.
-    fn replay_lanes(
-        &mut self,
-        mem: &mut MemorySystem,
-        n_warps: usize,
-        tally: &mut LaunchTally<'_>,
-    ) {
-        let num_sms = self.cfg.num_sms as usize;
-        let l1_hit = self.cfg.l1_hit_latency_ns;
-        let atomic_lat = self.cfg.atomic_latency_ns;
-        let mut warp_cursor = vec![0usize; num_sms];
-        let mut replay_cursor = vec![0usize; num_sms];
-        for w in 0..n_warps {
-            let sm = w % num_sms;
-            let buf = &self.lane_bufs[sm];
-            let count = buf.warp_replay[warp_cursor[sm]] as usize;
-            warp_cursor[sm] += 1;
-            let start = replay_cursor[sm];
-            replay_cursor[sm] = start + count;
-            for op in &buf.replay[start..start + count] {
-                match *op {
-                    ReplayOp::Hits(n) => {
-                        for _ in 0..n {
-                            *tally.total_latency_ns += l1_hit;
-                        }
-                    }
-                    ReplayOp::Miss(line) => {
-                        *tally.total_latency_ns += l1_hit;
-                        let out = mem.access(line, AccessKind::Read);
-                        *tally.total_latency_ns += out.latency_ns;
-                    }
-                    ReplayOp::Store { addr, lines } => {
-                        mem.apply_run(TxRun {
-                            addr,
-                            lines: lines as u64,
-                            kind: AccessKind::Write,
-                        });
-                    }
-                    ReplayOp::Atomic(line) => {
-                        let out = mem.access(line, AccessKind::Write);
-                        *tally.total_latency_ns += atomic_lat + out.latency_ns;
-                    }
-                }
-            }
-        }
-        // Merge the order-insensitive tallies the lanes computed in
-        // parallel: plain integer sums (and per-address sums for the
-        // atomic conflicts), so the result is deterministic at any
-        // worker count and equal to the sequential path's.
-        let atomic_counts = &mut self.scratch.atomic_counts;
-        for (sm, buf) in self.lane_bufs[..num_sms].iter().enumerate() {
-            tally.stats.transactions += buf.transactions;
-            tally.sm_l1_tx[sm] += buf.transactions;
-            tally.stats.mem_slots += buf.mem_slots;
-            tally.stats.loads += buf.loads;
-            tally.stats.stores += buf.stores;
-            tally.stats.atomics += buf.atomics;
-            tally.stats.thread_insts += buf.alu_total + buf.ops_total;
-            tally.stats.warp_slots += buf.slots;
-            tally.sm_slots[sm] += buf.slots;
-            for (&addr, &n) in &buf.atomic_counts {
-                *atomic_counts.entry(addr).or_insert(0) += n;
-            }
-        }
+        tally
     }
 }
 
@@ -813,241 +508,6 @@ mod tests {
         };
         assert_eq!(*source, MemSource::Gpu);
         assert_eq!(stats.l2.accesses, direct.mem.l2.accesses);
-    }
-
-    /// Runs the same mixed kernel (coalesced + scattered loads, L1
-    /// reuse, stores, conflicting atomics) twice per launch count on
-    /// fresh engine/memory pairs — once pinned sequential, once pinned
-    /// to `threads` lanes — and requires every statistic, including
-    /// the f64 time bounds and the memory-system windows, to be
-    /// byte-identical.
-    fn assert_threaded_matches_sequential(cfg: GpuConfig, threads: usize) {
-        let run_all = |override_n: Option<usize>| -> (Vec<KernelStats>, String) {
-            let mut alloc = DeviceAllocator::new();
-            let n = 4096usize;
-            let a = DeviceArray::from_vec(&mut alloc, (0u32..n as u32).collect());
-            let mut b: DeviceArray<u32> = DeviceArray::zeroed(&mut alloc, n);
-            let mut acc: DeviceArray<u32> = DeviceArray::zeroed(&mut alloc, 8);
-            let mut mem = MemorySystem::new(cfg.memory.clone());
-            let mut eng = GpuEngine::new(cfg.clone());
-            eng.set_thread_override(override_n);
-            let mut all = Vec::new();
-            // Two launches: the second sees warm L1s and warm DRAM row
-            // buffers, so it checks cross-launch state equality too.
-            for round in 0..2 {
-                let s = eng.run(&mut mem, "mixed", n, |tid, ctx| {
-                    let v = ctx.load(&a, tid);
-                    let w = ctx.load(&a, (tid * 7919 + round) % n);
-                    ctx.alu(3);
-                    ctx.store(&mut b, tid, v.wrapping_add(w));
-                    if tid % 3 == 0 {
-                        ctx.atomic_rmw(&mut acc, tid % 8, |x| x.wrapping_add(v));
-                    }
-                });
-                all.push(s);
-            }
-            let fingerprint = format!(
-                "{:?} | mem={:?} | service={:.6}",
-                all,
-                mem.stats(),
-                mem.service_time_ns()
-            );
-            (all, fingerprint)
-        };
-        let (seq, seq_fp) = run_all(Some(1));
-        let (par, par_fp) = run_all(Some(threads));
-        assert_eq!(seq, par, "KernelStats diverged at {threads} lanes");
-        assert_eq!(seq_fp, par_fp, "memory-system state diverged");
-    }
-
-    #[test]
-    fn threaded_path_matches_sequential_tx1() {
-        assert_threaded_matches_sequential(GpuConfig::tx1(), 2);
-    }
-
-    #[test]
-    fn threaded_path_matches_sequential_gtx980() {
-        assert_threaded_matches_sequential(GpuConfig::gtx980(), 4);
-        assert_threaded_matches_sequential(GpuConfig::gtx980(), 16);
-    }
-
-    #[test]
-    fn oversized_thread_count_clamps_to_sm_count() {
-        // 64 lanes on a 2-SM part must behave exactly like 2.
-        assert_threaded_matches_sequential(GpuConfig::tx1(), 64);
-    }
-
-    #[test]
-    fn small_launch_stays_on_sequential_path() {
-        // One warp on a 16-SM part: threaded pin must not change
-        // anything (the engine falls back to the sequential loop).
-        let cfg = GpuConfig::gtx980();
-        let mut alloc = DeviceAllocator::new();
-        let a: DeviceArray<u32> = DeviceArray::zeroed(&mut alloc, 32);
-        let run = |pin: Option<usize>| {
-            let mut mem = MemorySystem::new(cfg.memory.clone());
-            let mut eng = GpuEngine::new(cfg.clone());
-            eng.set_thread_override(pin);
-            eng.run(&mut mem, "tiny", 32, |tid, ctx| {
-                let _ = ctx.load(&a, tid);
-            })
-        };
-        assert_eq!(run(Some(1)), run(Some(8)));
-    }
-
-    /// Runs the standard mixed kernel twice (cross-launch warm state),
-    /// optionally inside a trace-cache cell scope, and fingerprints
-    /// every statistic plus the memory-system end state.
-    fn run_mixed_cell(
-        cfg: &GpuConfig,
-        pin: usize,
-        key: Option<&str>,
-    ) -> (String, Option<trace_cache::CellTraceOutcome>) {
-        let scope = key.map(trace_cache::begin_cell);
-        let mut alloc = DeviceAllocator::new();
-        let n = 4096usize;
-        let a = DeviceArray::from_vec(&mut alloc, (0u32..n as u32).collect());
-        let mut b: DeviceArray<u32> = DeviceArray::zeroed(&mut alloc, n);
-        let mut acc: DeviceArray<u32> = DeviceArray::zeroed(&mut alloc, 8);
-        let mut mem = MemorySystem::new(cfg.memory.clone());
-        let mut eng = GpuEngine::new(cfg.clone());
-        eng.set_thread_override(Some(pin));
-        let mut all = Vec::new();
-        for round in 0..2 {
-            let s = eng.run(&mut mem, "mixed", n, |tid, ctx| {
-                let v = ctx.load(&a, tid);
-                let w = ctx.load(&a, (tid * 7919 + round) % n);
-                ctx.alu(3);
-                ctx.store(&mut b, tid, v.wrapping_add(w));
-                if tid % 3 == 0 {
-                    ctx.atomic_rmw(&mut acc, tid % 8, |x| x.wrapping_add(v));
-                }
-            });
-            all.push(s);
-        }
-        let fingerprint = format!(
-            "{:?} | mem={:?} | service={:.6} | b={:?} | acc={:?}",
-            all,
-            mem.stats(),
-            mem.service_time_ns(),
-            b.as_slice(),
-            acc.as_slice(),
-        );
-        drop(scope);
-        (
-            fingerprint,
-            key.and_then(|_| trace_cache::last_cell_outcome()),
-        )
-    }
-
-    #[test]
-    fn trace_cache_warm_replay_is_byte_identical() {
-        let _serial = trace_cache::test_mutex()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        trace_cache::set_enabled(true);
-        trace_cache::install(Some(trace_cache::shared_test_store()));
-        let cfg = GpuConfig::gtx980();
-        let key = "engine-warm-identical";
-
-        let (baseline, _) = run_mixed_cell(&cfg, 1, None);
-        let (cold, cold_out) = run_mixed_cell(&cfg, 4, Some(key));
-        let out = cold_out.expect("session ran");
-        assert!(out.stored && !out.hit && !out.poisoned, "{out:?}");
-        assert_eq!(out.launches, 2);
-        assert_eq!(baseline, cold, "cold recording diverged from plain run");
-
-        for pin in [1usize, 4] {
-            let (warm, warm_out) = run_mixed_cell(&cfg, pin, Some(key));
-            let out = warm_out.expect("session ran");
-            assert!(out.hit && !out.poisoned, "pin {pin}: {out:?}");
-            assert!(out.bytes_replayed > 0);
-            assert_eq!(baseline, warm, "warm replay diverged at pin {pin}");
-        }
-    }
-
-    #[test]
-    fn trace_cache_cold_recording_at_one_worker_matches_plain() {
-        let _serial = trace_cache::test_mutex()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        trace_cache::set_enabled(true);
-        trace_cache::install(Some(trace_cache::shared_test_store()));
-        let cfg = GpuConfig::tx1();
-        let (baseline, _) = run_mixed_cell(&cfg, 1, None);
-        let (cold, out) = run_mixed_cell(&cfg, 1, Some("engine-cold-seq"));
-        assert!(out.expect("session ran").stored);
-        assert_eq!(baseline, cold);
-    }
-
-    #[test]
-    fn corrupt_stored_trace_falls_back_to_cold_and_heals() {
-        let _serial = trace_cache::test_mutex()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        trace_cache::set_enabled(true);
-        let store = trace_cache::shared_test_store();
-        trace_cache::install(Some(store.clone()));
-        let cfg = GpuConfig::gtx980();
-        let key = "engine-corrupt";
-
-        let (baseline, _) = run_mixed_cell(&cfg, 1, None);
-        let (_, out) = run_mixed_cell(&cfg, 4, Some(key));
-        assert!(out.expect("session ran").stored);
-
-        // Flip a byte in the middle of the stored blob.
-        {
-            let mut map = store.map.lock().unwrap();
-            let blob = map.get_mut(key).expect("blob stored");
-            let mid = blob.len() / 2;
-            blob[mid] ^= 0xff;
-        }
-
-        let (fell_back, out) = run_mixed_cell(&cfg, 4, Some(key));
-        let out = out.expect("session ran");
-        assert!(!out.hit, "corrupt blob must not replay: {out:?}");
-        assert!(out.stored, "cold fallback re-stores a fresh blob");
-        assert_eq!(baseline, fell_back, "fallback produced a wrong result");
-
-        // The re-stored blob serves warm again.
-        let (healed, out) = run_mixed_cell(&cfg, 4, Some(key));
-        assert!(out.expect("session ran").hit);
-        assert_eq!(baseline, healed);
-    }
-
-    #[test]
-    fn trace_shape_divergence_poisons_and_stays_correct() {
-        let _serial = trace_cache::test_mutex()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        trace_cache::set_enabled(true);
-        trace_cache::install(Some(trace_cache::shared_test_store()));
-        let cfg = GpuConfig::gtx980();
-        let key = "engine-diverge";
-        let n = 4096usize;
-
-        let run_n = |threads: usize, with_key: bool| {
-            let scope = with_key.then(|| trace_cache::begin_cell(key));
-            let mut alloc = DeviceAllocator::new();
-            let a: DeviceArray<u32> = DeviceArray::zeroed(&mut alloc, n);
-            let mut mem = MemorySystem::new(cfg.memory.clone());
-            let mut eng = GpuEngine::new(cfg.clone());
-            eng.set_thread_override(Some(4));
-            let s = eng.run(&mut mem, "probe", threads, |tid, ctx| {
-                let _ = ctx.load(&a, tid % n);
-            });
-            drop(scope);
-            format!("{s:?}")
-        };
-
-        let _ = run_n(n, true); // records a trace for `n` threads
-        let baseline = run_n(n / 2, false);
-        // Same key, different launch shape: must poison and fall back.
-        let diverged = run_n(n / 2, true);
-        let out = trace_cache::last_cell_outcome().expect("session ran");
-        assert!(out.poisoned, "{out:?}");
-        assert!(!out.stored, "poisoned sessions must not overwrite the blob");
-        assert_eq!(baseline, diverged);
     }
 
     #[test]

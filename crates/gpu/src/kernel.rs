@@ -35,73 +35,43 @@ pub struct MemOp {
 /// [`ThreadCtx::alu`] to account for arithmetic between memory
 /// operations; graph kernels are memory-bound, so a coarse count is
 /// sufficient.
-///
-/// With recording switched off ([`ThreadCtx::set_recording`]) the data
-/// movement still happens — device memory must stay exact because the
-/// host algorithm reads it between launches — but no trace is kept.
-/// The engine uses this when replaying a cached functional trace: the
-/// bodies re-run for their side effects while the recorded `MemOp`
-/// streams stand in for the trace.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ThreadCtx {
     alu: u64,
     mems: Vec<MemOp>,
-    record: bool,
-}
-
-impl Default for ThreadCtx {
-    fn default() -> Self {
-        ThreadCtx {
-            alu: 0,
-            mems: Vec::new(),
-            record: true,
-        }
-    }
 }
 
 impl ThreadCtx {
-    /// Creates an empty, recording context (the engine does this per
-    /// launch).
+    /// Creates an empty context (the engine does this per launch).
     pub fn new() -> Self {
         ThreadCtx::default()
-    }
-
-    /// Switches trace recording on or off. Data movement is unaffected.
-    pub fn set_recording(&mut self, on: bool) {
-        self.record = on;
     }
 
     /// Records `n` ALU instructions.
     #[inline]
     pub fn alu(&mut self, n: u32) {
-        if self.record {
-            self.alu += n as u64;
-        }
+        self.alu += n as u64;
     }
 
     /// Loads element `i` of `arr`, recording the access.
     #[inline]
     pub fn load<T: Copy>(&mut self, arr: &DeviceArray<T>, i: usize) -> T {
-        if self.record {
-            self.mems.push(MemOp {
-                addr: arr.addr(i),
-                write: false,
-                atomic: false,
-            });
-        }
+        self.mems.push(MemOp {
+            addr: arr.addr(i),
+            write: false,
+            atomic: false,
+        });
         arr.get(i)
     }
 
     /// Stores `v` into element `i` of `arr`, recording the access.
     #[inline]
     pub fn store<T: Copy>(&mut self, arr: &mut DeviceArray<T>, i: usize, v: T) {
-        if self.record {
-            self.mems.push(MemOp {
-                addr: arr.addr(i),
-                write: true,
-                atomic: false,
-            });
-        }
+        self.mems.push(MemOp {
+            addr: arr.addr(i),
+            write: true,
+            atomic: false,
+        });
         arr.set(i, v);
     }
 
@@ -118,13 +88,11 @@ impl ThreadCtx {
         i: usize,
         f: impl FnOnce(T) -> T,
     ) -> T {
-        if self.record {
-            self.mems.push(MemOp {
-                addr: arr.addr(i),
-                write: true,
-                atomic: true,
-            });
-        }
+        self.mems.push(MemOp {
+            addr: arr.addr(i),
+            write: true,
+            atomic: true,
+        });
         let old = arr.get(i);
         arr.set(i, f(old));
         old
@@ -158,15 +126,6 @@ impl ThreadCtx {
     /// returned and reset.
     pub fn drain_trace_into(&mut self, mems: &mut Vec<MemOp>) -> u64 {
         mems.clear();
-        mems.append(&mut self.mems);
-        std::mem::take(&mut self.alu)
-    }
-
-    /// Like [`ThreadCtx::drain_trace_into`] but *appends* to `mems`
-    /// instead of clearing it first — the per-SM timing lanes record
-    /// every lane of every warp into one flat buffer, so the drain
-    /// must not discard earlier lanes' ops.
-    pub fn drain_trace_append(&mut self, mems: &mut Vec<MemOp>) -> u64 {
         mems.append(&mut self.mems);
         std::mem::take(&mut self.alu)
     }
@@ -246,41 +205,6 @@ mod tests {
         ctx.alu(2);
         assert_eq!(ctx.alu_count(), 5);
         assert_eq!(ctx.op_count(), 0);
-    }
-
-    #[test]
-    fn drain_append_preserves_earlier_ops() {
-        let mut alloc = DeviceAllocator::new();
-        let arr = DeviceArray::from_vec(&mut alloc, vec![1u32, 2]);
-        let mut ctx = ThreadCtx::new();
-        let mut ops = Vec::new();
-        ctx.alu(2);
-        ctx.load(&arr, 0);
-        assert_eq!(ctx.drain_trace_append(&mut ops), 2);
-        ctx.load(&arr, 1);
-        assert_eq!(ctx.drain_trace_append(&mut ops), 0);
-        assert_eq!(ops.len(), 2);
-        assert_eq!(ops[0].addr, arr.addr(0));
-        assert_eq!(ops[1].addr, arr.addr(1));
-        assert_eq!(ctx.op_count(), 0);
-    }
-
-    #[test]
-    fn recording_off_moves_data_but_keeps_no_trace() {
-        let mut alloc = DeviceAllocator::new();
-        let a = DeviceArray::from_vec(&mut alloc, vec![5u32, 6]);
-        let mut b = DeviceArray::from_vec(&mut alloc, vec![0u32; 2]);
-        let mut ctx = ThreadCtx::new();
-        ctx.set_recording(false);
-        ctx.alu(7);
-        let v = ctx.load(&a, 1);
-        ctx.store(&mut b, 0, v);
-        let old = ctx.atomic_min_u32(&mut b, 0, 2);
-        assert_eq!(v, 6);
-        assert_eq!(old, 6);
-        assert_eq!(b.get(0), 2, "data movement still exact");
-        assert_eq!(ctx.op_count(), 0);
-        assert_eq!(ctx.alu_count(), 0);
     }
 
     #[test]

@@ -45,19 +45,13 @@
 pub mod config;
 pub mod engine;
 pub mod kernel;
-pub(crate) mod lanes;
+pub mod profile;
 pub mod stats;
-pub mod threads;
-pub mod trace_cache;
 
 pub use config::GpuConfig;
 pub use engine::GpuEngine;
 pub use kernel::ThreadCtx;
+pub use profile::{engine_ns, reset_engine_ns};
 pub use scu_mem::buffer;
 pub use scu_mem::buffer::{DeviceAllocator, DeviceArray};
 pub use stats::{KernelStats, TimeBounds};
-pub use threads::{
-    available_parallelism, parallelism_degraded, phase_profile, reset_phase_profile, PhaseProfile,
-    SimThreads,
-};
-pub use trace_cache::{TraceCacheStats, TraceStore};

@@ -1,7 +1,7 @@
 //! Shared command-line surface for the experiment binaries:
-//! `--jobs N`, `--sim-threads N`, `--no-cache`, `--no-trace-cache`,
-//! `--no-graph-artifacts`, `--filter <substr>`, `--timeout-secs N`,
-//! `--retries N`, `--resume`, `--strict-resume`, `--trace <path>`.
+//! `--jobs N`, `--no-cache`, `--no-graph-artifacts`, `--filter <substr>`,
+//! `--timeout-secs N`, `--retries N`, `--resume`, `--strict-resume`,
+//! `--trace <path>`.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -13,20 +13,8 @@ use crate::executor::default_jobs;
 pub struct CliArgs {
     /// Worker threads (defaults to available cores).
     pub jobs: usize,
-    /// Per-cell simulator timing-lane threads (the GPU engine's
-    /// `SimThreads` knob). Defaults to the `SCU_SIM_THREADS`
-    /// environment variable, else 1. Results are byte-identical at
-    /// any value; only wall-clock changes.
-    pub sim_threads: usize,
     /// Disable the on-disk result cache.
     pub no_cache: bool,
-    /// Disable the functional-trace cache (recorded per-warp GPU
-    /// traces keyed by semantic key). Results are byte-identical with
-    /// it on or off; only the functional phase's wall-clock changes.
-    /// Independent of `--no-cache`: an uncached run recomputes every
-    /// result but may still replay recorded traces — pass both flags
-    /// for a fully cold simulation.
-    pub no_trace_cache: bool,
     /// Disable the graph artifact store (mmap'd build-once CSR files).
     /// Graphs are then regenerated in memory per process, exactly as
     /// before the store existed; results are byte-identical either
@@ -58,9 +46,7 @@ impl Default for CliArgs {
     fn default() -> Self {
         CliArgs {
             jobs: default_jobs(),
-            sim_threads: default_sim_threads(),
             no_cache: false,
-            no_trace_cache: false,
             no_graph_artifacts: false,
             filter: None,
             timeout: None,
@@ -73,31 +59,10 @@ impl Default for CliArgs {
     }
 }
 
-/// Default for `--sim-threads`: the `SCU_SIM_THREADS` environment
-/// variable when set to a positive integer, else 1.
-///
-/// This mirrors `scu_gpu::SimThreads`'s own env fallback (duplicated
-/// rather than calling `SimThreads::get`, which would freeze the
-/// process-global knob before the flag is applied); the binaries then
-/// call `SimThreads::set` with the parsed value, making the flag the
-/// single source of truth for the process.
-pub fn default_sim_threads() -> usize {
-    std::env::var("SCU_SIM_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 /// The usage block describing the shared flags, for `--help` output.
 pub const USAGE: &str = "harness options:\n  \
     --jobs N          worker threads (default: available cores)\n  \
-    --sim-threads N   per-cell GPU-engine timing lanes (default: $SCU_SIM_THREADS or 1;\n                    \
-    results are byte-identical at any value)\n  \
     --no-cache        recompute every cell, ignore cached results\n  \
-    --no-trace-cache  re-record functional GPU traces instead of replaying cached\n                    \
-ones (results are byte-identical either way; combine with\n                    \
---no-cache for a fully cold simulation)\n  \
     --no-graph-artifacts  rebuild graphs in memory instead of serving mmap'd\n                    \
 artifacts (results are byte-identical either way)\n  \
     --filter SUBSTR   only run cells whose id contains SUBSTR\n  \
@@ -137,15 +102,7 @@ impl CliArgs {
                             format!("--jobs expects a positive integer, got '{v}'")
                         })?;
                 }
-                "--sim-threads" => {
-                    let v = value("a thread count")?;
-                    out.sim_threads =
-                        v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            format!("--sim-threads expects a positive integer, got '{v}'")
-                        })?;
-                }
                 "--no-cache" => out.no_cache = true,
-                "--no-trace-cache" => out.no_trace_cache = true,
                 "--no-graph-artifacts" => out.no_graph_artifacts = true,
                 "--filter" => out.filter = Some(value("a substring")?),
                 "--timeout-secs" => {
@@ -214,20 +171,11 @@ mod tests {
     }
 
     #[test]
-    fn no_trace_cache_parses_and_defaults_off() {
-        assert!(!parse(&[]).no_trace_cache);
-        let a = parse(&["--no-trace-cache"]);
-        assert!(a.no_trace_cache && !a.no_cache, "independent of --no-cache");
-        let b = parse(&["--no-cache", "--no-trace-cache"]);
-        assert!(b.no_cache && b.no_trace_cache);
-    }
-
-    #[test]
     fn no_graph_artifacts_parses_and_defaults_off() {
         assert!(!parse(&[]).no_graph_artifacts);
         let a = parse(&["--no-graph-artifacts"]);
         assert!(a.no_graph_artifacts);
-        assert!(!a.no_cache && !a.no_trace_cache, "independent toggles");
+        assert!(!a.no_cache, "independent toggles");
     }
 
     #[test]
@@ -274,23 +222,5 @@ mod tests {
         assert!(CliArgs::parse(["--jobs".to_string(), "0".to_string()]).is_err());
         assert!(CliArgs::parse(["--timeout-secs".to_string(), "-1".to_string()]).is_err());
         assert!(CliArgs::parse(["--filter".to_string()]).is_err());
-    }
-
-    #[test]
-    fn sim_threads_parses_in_both_spellings() {
-        let a = parse(&["--sim-threads", "4"]);
-        assert_eq!(a.sim_threads, 4);
-        let b = parse(&["--sim-threads=2"]);
-        assert_eq!(b.sim_threads, 2);
-        assert!(CliArgs::parse(["--sim-threads".to_string(), "0".to_string()]).is_err());
-        assert!(CliArgs::parse(["--sim-threads".to_string()]).is_err());
-    }
-
-    #[test]
-    fn sim_threads_defaults_to_at_least_one() {
-        // The default comes from SCU_SIM_THREADS or 1; either way it
-        // must be positive (tests must not mutate process env — other
-        // tests run concurrently in this binary).
-        assert!(parse(&[]).sim_threads >= 1);
     }
 }

@@ -71,11 +71,6 @@ pub struct ExecOptions {
     pub backoff: Duration,
     /// Upper bound on a single backoff sleep.
     pub backoff_cap: Duration,
-    /// Simulator threads each job spawns internally (the GPU engine's
-    /// `SimThreads` knob). The executor only uses this to cap `jobs`
-    /// so `jobs × threads_per_job` cannot oversubscribe the machine;
-    /// it never changes what a job computes.
-    pub threads_per_job: usize,
     /// Treat a resumed cell's timeline-digest mismatch as a failure
     /// instead of a warning (the `--strict-resume` flag). CI uses this
     /// to turn silent model/config divergence into a non-zero exit.
@@ -90,7 +85,6 @@ impl Default for ExecOptions {
             retries: 0,
             backoff: Duration::from_millis(100),
             backoff_cap: Duration::from_secs(2),
-            threads_per_job: 1,
             strict_resume: false,
         }
     }
@@ -140,30 +134,10 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Caps the worker count so `workers × threads_per_job` does not
-/// oversubscribe `available` hardware threads.
-///
-/// Returns the effective worker count and whether the oversubscription
-/// cap (as opposed to the usual `1..=graph_len` clamp) kicked in. Pure
-/// so the policy is unit-testable apart from the executor.
-pub fn effective_workers(
-    jobs: usize,
-    threads_per_job: usize,
-    graph_len: usize,
-    available: usize,
-) -> (usize, bool) {
-    let jobs = jobs.clamp(1, graph_len.max(1));
-    let budget = (available.max(1) / threads_per_job.max(1)).max(1);
-    if jobs > budget {
-        (budget, true)
-    } else {
-        (jobs, false)
-    }
+/// The worker count for a sweep: `jobs`, clamped to `1..=graph_len`.
+pub fn effective_workers(jobs: usize, graph_len: usize) -> usize {
+    jobs.clamp(1, graph_len.max(1))
 }
-
-/// The oversubscription warning fires once per process, not once per
-/// sweep — reproduce_all runs many sweeps with identical options.
-static OVERSUBSCRIBE_WARNED: AtomicBool = AtomicBool::new(false);
 
 struct SchedState {
     ready: VecDeque<JobId>,
@@ -298,16 +272,7 @@ pub fn execute(
             leaked_threads: 0,
         };
     }
-    let available = default_jobs();
-    let (workers, clamped) =
-        effective_workers(opts.jobs, opts.threads_per_job, graph.len(), available);
-    if clamped && !OVERSUBSCRIBE_WARNED.swap(true, Ordering::SeqCst) {
-        eprintln!(
-            "scu-harness: warning: {} jobs x {} sim threads oversubscribes {} available \
-             threads; running {} workers instead",
-            opts.jobs, opts.threads_per_job, available, workers
-        );
-    }
+    let workers = effective_workers(opts.jobs, graph.len());
     let sched = Scheduler::new(graph);
     std::thread::scope(|scope| {
         for w in 0..workers {
@@ -944,26 +909,11 @@ mod tests {
     }
 
     #[test]
-    fn effective_workers_keeps_legacy_clamp_without_sim_threads() {
-        // threads_per_job = 1 must reproduce `jobs.clamp(1, graph_len)`.
-        assert_eq!(effective_workers(8, 1, 100, 8), (8, false));
-        assert_eq!(effective_workers(8, 1, 3, 8), (3, false));
-        assert_eq!(effective_workers(0, 1, 3, 8), (1, false));
-        assert_eq!(effective_workers(4, 1, 0, 8), (1, false));
-    }
-
-    #[test]
-    fn effective_workers_caps_jobs_times_sim_threads() {
-        // 8 jobs x 4 sim threads on 8 hardware threads -> 2 workers.
-        assert_eq!(effective_workers(8, 4, 100, 8), (2, true));
-        // Exactly at budget: no clamp.
-        assert_eq!(effective_workers(2, 4, 100, 8), (2, false));
-        // threads_per_job beyond the machine still leaves one worker.
-        assert_eq!(effective_workers(8, 64, 100, 8), (1, true));
-        // The graph-length clamp applies before the budget check.
-        assert_eq!(effective_workers(8, 4, 2, 8), (2, false));
-        // Degenerate available parallelism never yields zero workers.
-        assert_eq!(effective_workers(4, 2, 100, 0), (1, true));
+    fn effective_workers_clamps_to_graph_len() {
+        assert_eq!(effective_workers(8, 100), 8);
+        assert_eq!(effective_workers(8, 3), 3);
+        assert_eq!(effective_workers(0, 3), 1);
+        assert_eq!(effective_workers(4, 0), 1);
     }
 
     #[test]
@@ -974,7 +924,6 @@ mod tests {
         }
         let opts = ExecOptions {
             jobs: usize::MAX,
-            threads_per_job: usize::MAX,
             ..ExecOptions::default()
         };
         let out = execute(&g, &ExecContext::default(), &opts, &silent()).outcomes;

@@ -50,8 +50,6 @@
 //! | `cache-load`         | `ResultStore::get` (both backends)| io-error, delay |
 //! | `cache-store`        | `ResultStore::put` (both backends)| io-error, delay |
 //! | `journal-append`     | `ResultStore::journal_append` / `Journal::append` | io-error, delay |
-//! | `trace-cache-load`   | `trace_bridge::StoreTraceBridge::load` (degrades to a cold recording) | io-error, delay |
-//! | `trace-cache-store`  | `trace_bridge::StoreTraceBridge::store` (drops the recording) | io-error, delay |
 //! | `wal-append`         | `scu_store::wal::Wal::append`     | io-error, delay |
 //! | `segment-flush`      | `scu_store::lsm` memtable flush   | io-error, delay |
 //! | `compact`            | `scu_store::lsm` compaction pass  | io-error, delay |

@@ -47,7 +47,6 @@ pub mod job;
 pub mod journal;
 pub mod progress;
 pub mod session;
-pub mod trace_bridge;
 
 pub use cache::{GetResult, ResultCache, ResultCacheStats, ResultStore, StoreStats};
 pub use cli::CliArgs;
@@ -79,7 +78,6 @@ pub struct Sweep {
 #[derive(Clone)]
 pub struct Harness {
     jobs: usize,
-    threads_per_job: usize,
     cache_dir: Option<PathBuf>,
     store_backend: Option<Arc<dyn ResultStore>>,
     timeout: Option<Duration>,
@@ -94,19 +92,12 @@ pub struct Harness {
     strict_resume: bool,
     handle_sigint: bool,
     cancel_flag: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    trace_cache: bool,
-    /// Store directory to mount the functional-trace cache from when
-    /// the *result* cache is off (`--no-cache` without
-    /// `--no-trace-cache`): results recompute, recorded traces still
-    /// replay — byte-identical either way.
-    trace_dir: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for Harness {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Harness")
             .field("jobs", &self.jobs)
-            .field("threads_per_job", &self.threads_per_job)
             .field("cache_dir", &self.cache_dir)
             .field("store_backend", &self.store_backend.is_some())
             .field("timeout", &self.timeout)
@@ -127,7 +118,6 @@ impl Default for Harness {
     fn default() -> Self {
         Harness {
             jobs: default_jobs(),
-            threads_per_job: 1,
             cache_dir: None,
             store_backend: None,
             timeout: None,
@@ -142,8 +132,6 @@ impl Default for Harness {
             strict_resume: false,
             handle_sigint: false,
             cancel_flag: None,
-            trace_cache: true,
-            trace_dir: None,
         }
     }
 }
@@ -158,15 +146,6 @@ impl Harness {
     /// Sets the worker-thread count (clamped to at least 1).
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Declares how many simulator threads each job spawns internally
-    /// (the GPU engine's `SimThreads` knob), so the executor can keep
-    /// `jobs × threads_per_job` within the machine's parallelism. The
-    /// harness itself never sets that knob — the binary does.
-    pub fn threads_per_job(mut self, threads: usize) -> Self {
-        self.threads_per_job = threads.max(1);
         self
     }
 
@@ -267,38 +246,17 @@ impl Harness {
         self
     }
 
-    /// Enables or disables the functional-trace cache (`--no-trace-cache`;
-    /// default on). With a result cache open, recorded per-warp GPU
-    /// traces are persisted through the same store and replayed on
-    /// warm runs — byte-identical results, the functional phase's
-    /// wall-clock gone. Without a store to mount (no cache and no
-    /// `trace_dir`) this is inert.
-    pub fn trace_cache(mut self, on: bool) -> Self {
-        self.trace_cache = on;
-        self
-    }
-
-    /// Applies the shared CLI flags (`--jobs`, `--sim-threads`,
-    /// `--no-cache`, `--no-trace-cache`, `--timeout-secs`,
-    /// `--retries`, `--resume`) on top of the current configuration.
-    /// `default_cache_dir` is used unless `--no-cache` was given.
+    /// Applies the shared CLI flags (`--jobs`, `--no-cache`,
+    /// `--timeout-secs`, `--retries`, `--resume`) on top of the current
+    /// configuration. `default_cache_dir` is used unless `--no-cache`
+    /// was given.
     pub fn apply_cli(mut self, args: &CliArgs, default_cache_dir: impl Into<PathBuf>) -> Self {
         self.jobs = args.jobs.max(1);
-        self.threads_per_job = args.sim_threads.max(1);
         self.timeout = args.timeout;
         self.retries = args.retries;
         self.resume = args.resume;
         self.strict_resume = args.strict_resume;
-        let default_cache_dir = default_cache_dir.into();
-        (self.cache_dir, self.trace_dir) = if args.no_cache {
-            // Results recompute, but recorded functional traces still
-            // replay from the store (they cannot change result bytes);
-            // --no-trace-cache on top makes the run fully cold.
-            (None, (!args.no_trace_cache).then_some(default_cache_dir))
-        } else {
-            (Some(default_cache_dir), None)
-        };
-        self.trace_cache = !args.no_trace_cache;
+        self.cache_dir = (!args.no_cache).then(|| default_cache_dir.into());
         self
     }
 
@@ -327,27 +285,6 @@ impl Harness {
                     }
                 }),
         };
-        // Mount the functional-trace cache on the same store: warm
-        // cells replay recorded per-warp traces instead of re-recording
-        // them. An uncached run still mounts the store for traces alone
-        // (via `trace_dir`) — replay cannot change result bytes, so
-        // `--no-cache` keeps its recompute guarantee; only
-        // `--no-trace-cache` leaves the engine recording cold.
-        let trace_backend = match (&cache, &self.trace_dir) {
-            (Some(c), _) => Some(c.backend()),
-            (None, Some(dir)) if self.trace_cache => match ResultCache::open(dir) {
-                Ok(c) => Some(c.backend()),
-                Err(e) => {
-                    eprintln!(
-                        "[scu-harness] cannot open trace store at {}: {e}; recording cold",
-                        dir.display()
-                    );
-                    None
-                }
-            },
-            _ => None,
-        };
-        trace_bridge::install(trace_backend, self.trace_cache);
         // With an LSM-backed cache the store's write-ahead log *is* the
         // journal: each finished cell is one CRC-framed append, and
         // resume state is replayed from the same bytes as the cache.
@@ -480,7 +417,6 @@ impl Harness {
             retries: self.retries,
             backoff: self.backoff,
             backoff_cap: self.backoff_cap,
-            threads_per_job: self.threads_per_job,
             strict_resume: self.strict_resume,
         };
         let ctx = ExecContext {
@@ -576,24 +512,13 @@ mod tests {
         .unwrap();
         let h = Harness::new().apply_cli(&args, "unused-cache-dir");
         assert_eq!(h.jobs, 2);
-        assert!(h.cache_dir.is_none());
-        assert_eq!(
-            h.trace_dir.as_deref(),
-            Some(std::path::Path::new("unused-cache-dir")),
-            "--no-cache alone keeps the trace store mounted"
-        );
+        assert!(h.cache_dir.is_none(), "--no-cache mounts no store");
         let with_cache =
             Harness::new().apply_cli(&CliArgs::parse(Vec::<String>::new()).unwrap(), "some-dir");
         assert_eq!(
             with_cache.cache_dir.as_deref(),
             Some(std::path::Path::new("some-dir"))
         );
-        assert!(with_cache.trace_dir.is_none(), "traces ride the cache");
-        let cold = Harness::new().apply_cli(
-            &CliArgs::parse(["--no-cache".to_string(), "--no-trace-cache".to_string()]).unwrap(),
-            "some-dir",
-        );
-        assert!(cold.cache_dir.is_none() && cold.trace_dir.is_none() && !cold.trace_cache);
     }
 
     #[test]

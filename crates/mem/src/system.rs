@@ -75,12 +75,8 @@ pub struct RunOutcome {
 /// One L2-bound transaction run: `lines` consecutive line accesses
 /// starting at `addr`, all of `kind`.
 ///
-/// This is the unit every replayed access stream is expressed in —
-/// the GPU engine's ordered L2 replay and the SCU's sequential
-/// streams both reduce to a sequence of `TxRun`s applied through
-/// [`MemorySystem::apply_run`], so the shared L2/DRAM observes one
-/// canonical transaction vocabulary regardless of which frontend
-/// produced it.
+/// The SCU's sequential streams reduce to a sequence of `TxRun`s
+/// applied through [`MemorySystem::apply_run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxRun {
     /// First line's address (any byte within the line).

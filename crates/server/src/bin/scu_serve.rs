@@ -7,7 +7,7 @@
 //! Binds `HOST:N` (default `127.0.0.1:7878`; port 0 asks the OS for an
 //! ephemeral port) and prints the resolved address on stdout so
 //! scripts can scrape it. The shared harness flags (`--jobs`,
-//! `--sim-threads`, `--no-cache`, `--retries`) configure the batch
+//! `--no-cache`, `--retries`) configure the batch
 //! harness; `SCU_SCALE`/`SCU_SEED` configure the served matrix exactly
 //! like the CLI sweeps.
 //!
@@ -35,7 +35,7 @@ const USAGE: &str = "scu_serve options:\n  \
     --max-retained N  cap on finished sweeps kept queryable in memory\n  \
     --request-deadline SECS\n                    \
     wall-clock budget for reading one request (slowloris cutoff)\n\
-plus the shared harness flags (--jobs, --sim-threads, --no-cache, --retries)";
+plus the shared harness flags (--jobs, --no-cache, --retries)";
 
 fn main() {
     let args = CliArgs::from_env();
@@ -98,7 +98,6 @@ fn main() {
             }
         }
     }
-    scu_algos::SimThreads::set(args.sim_threads);
     if let Err(e) = scu_algos::ExperimentConfig::from_env().validate() {
         eprintln!("{e}");
         std::process::exit(2);

@@ -13,7 +13,7 @@
 //!   clients** (N clients with overlapping matrices compute each
 //!   unique cell exactly once), batches cold cells through one shared
 //!   [`scu_harness::Harness`] (inheriting retries, fault isolation,
-//!   journaling, and the jobs × sim-threads core clamp), and streams
+//!   and journaling), and streams
 //!   per-cell completions to every waiting sweep.
 //! - [`server`] — a hand-rolled HTTP/1.1 front end over
 //!   [`std::net::TcpListener`] (the offline build has no hyper):

@@ -15,7 +15,7 @@
 //! 3. **Batched execution** — a single dispatcher thread drains the
 //!    pending set into one [`JobGraph`] and runs it through one shared
 //!    [`Harness`], inheriting its result cache, journal-backed resume,
-//!    retries, fault isolation, and the jobs × sim-threads core clamp.
+//!    retries and fault isolation.
 //!
 //! Completions stream to every waiting sweep through the harness's
 //! progress-observer hook; a panicking cell fails only the sweeps that
@@ -50,11 +50,8 @@ pub struct SchedulerConfig {
     /// The experiment knobs (scale, seed, datasets, algorithms) — the
     /// served matrix is exactly this configuration's 240-cell plan.
     pub experiment: ExperimentConfig,
-    /// Worker threads per batch (the harness clamps jobs ×
-    /// sim-threads to the machine).
+    /// Worker threads per batch.
     pub jobs: usize,
-    /// Per-cell simulator timing lanes, declared to the clamp.
-    pub sim_threads: usize,
     /// Retries for failed cells.
     pub retries: u32,
     /// On-disk result cache; `None` disables dedup-by-cache.
@@ -82,7 +79,6 @@ impl SchedulerConfig {
         SchedulerConfig {
             experiment: ExperimentConfig::from_env(),
             jobs: args.jobs.max(1),
-            sim_threads: args.sim_threads.max(1),
             retries: args.retries,
             cache_dir: (!args.no_cache)
                 .then(|| PathBuf::from(scu_harness::session::DEFAULT_CACHE_DIR)),
@@ -891,7 +887,6 @@ impl Scheduler {
         });
         let mut harness = Harness::new()
             .jobs(self.cfg.jobs)
-            .threads_per_job(self.cfg.sim_threads)
             .retries(self.cfg.retries)
             .observer(observer)
             .cancel_flag(batch_cancel);
@@ -976,7 +971,6 @@ impl Scheduler {
             0.0
         };
         let cache_stats = self.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-        let trace_stats = scu_algos::trace_cache::stats();
         let graph_stats = scu_algos::graph_artifact::stats();
         let store_stats = self
             .cache
@@ -1047,31 +1041,6 @@ impl Scheduler {
             (
                 "truncated_tail_bytes".to_string(),
                 Value::U64(store_stats.truncated_tail_bytes),
-            ),
-            // Functional-trace cache: engine-side session counters
-            // plus the store's trace record counters. Warm sweeps show
-            // trace_cache_hits rising while the functional phase's
-            // share of cell wall-clock collapses.
-            ("trace_cache_hits".to_string(), Value::U64(trace_stats.hits)),
-            (
-                "trace_cache_misses".to_string(),
-                Value::U64(trace_stats.misses),
-            ),
-            (
-                "trace_cache_stores".to_string(),
-                Value::U64(trace_stats.stores),
-            ),
-            (
-                "trace_cache_poisoned".to_string(),
-                Value::U64(trace_stats.poisoned),
-            ),
-            (
-                "trace_cache_bytes_replayed".to_string(),
-                Value::U64(trace_stats.bytes_replayed),
-            ),
-            (
-                "trace_records_stored".to_string(),
-                Value::U64(store_stats.trace_stores),
             ),
             // Graph artifact store: mmap'd build-once CSR files. A
             // healthy warm daemon shows hits rising and builds flat;

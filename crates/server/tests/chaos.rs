@@ -45,7 +45,6 @@ fn config(dir: &Path) -> SchedulerConfig {
     SchedulerConfig {
         experiment: ExperimentConfig::tiny(),
         jobs: 1,
-        sim_threads: 1,
         retries: 0,
         cache_dir: Some(dir.join("cache")),
         manifest: Some(dir.join("manifest.json")),

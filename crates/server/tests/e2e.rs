@@ -42,7 +42,6 @@ fn config(dir: &Path) -> SchedulerConfig {
     SchedulerConfig {
         experiment: ExperimentConfig::tiny(),
         jobs: 1,
-        sim_threads: 1,
         retries: 0,
         cache_dir: Some(dir.join("cache")),
         manifest: Some(dir.join("manifest.json")),
@@ -288,19 +287,6 @@ fn http_clients_share_inflight_cells_and_get_identical_bytes() {
     assert_eq!(field_u64(&metrics, "scheduled"), 6);
     assert_eq!(field_u64(&metrics, "coalesced"), 1);
     assert_eq!(field_u64(&metrics, "computed"), 6);
-    // Trace-cache counters are exported (process-global values depend
-    // on which tests ran first in this binary, so assert presence, not
-    // magnitudes — field_u64 panics on a missing key).
-    for key in [
-        "trace_cache_hits",
-        "trace_cache_misses",
-        "trace_cache_stores",
-        "trace_cache_poisoned",
-        "trace_cache_bytes_replayed",
-        "trace_records_stored",
-    ] {
-        let _ = field_u64(&metrics, key);
-    }
 
     // The overlapping cell reads back from the cache byte-identical to
     // a local simulation — the `run_one --remote` contract.

@@ -46,8 +46,8 @@ pub fn stable_addr(bytes: &[u8]) -> u128 {
     ((fnv1a(bytes, BASIS_A) as u128) << 64) | fnv1a(bytes, BASIS_B) as u128
 }
 
-/// Standard 64-bit FNV-1a — the payload digest trace records carry so
-/// a read can verify the blob end to end without decoding it.
+/// Standard 64-bit FNV-1a — the payload digest graph artifacts carry so
+/// a read can verify the file end to end without decoding it.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     fnv1a(bytes, BASIS_A)
 }

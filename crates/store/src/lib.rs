@@ -59,18 +59,6 @@ pub enum GetResult {
     Corrupt,
 }
 
-/// What a trace lookup found.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceGet {
-    /// The stored trace bytes, digest-verified.
-    Hit(Vec<u8>),
-    /// Nothing stored for this semantic key.
-    Miss,
-    /// Something was stored but failed verification — the caller must
-    /// fall back to cold recording (never replay suspect bytes).
-    Corrupt,
-}
-
 /// Everything a resumed sweep needs from the journal: completed values
 /// keyed by resume key, plus outcome digests keyed by cell id.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -106,13 +94,6 @@ pub struct StoreStats {
     pub recovered_records: u64,
     /// Bytes cut off a torn WAL tail at open.
     pub truncated_tail_bytes: u64,
-    /// Verified functional-trace hits (native trace path only; the
-    /// legacy envelope path counts under `hits`).
-    pub trace_hits: u64,
-    /// Trace lookups that found nothing or found corruption.
-    pub trace_misses: u64,
-    /// Functional traces stored.
-    pub trace_stores: u64,
     /// Which backend produced these numbers.
     pub backend: &'static str,
 }
@@ -185,34 +166,6 @@ pub trait ResultStore: Send + Sync + std::fmt::Debug {
     /// Returns IO failures from reading the journal.
     fn resume_state(&self) -> io::Result<ResumeState>;
 
-    /// Looks up the recorded functional trace stored for a semantic
-    /// key. The default implementation round-trips through the JSON
-    /// cache (`get`) via a hex envelope, so every backend supports
-    /// traces; the LSM backend overrides it with a native binary
-    /// record kind.
-    fn get_trace(&self, key: &str) -> TraceGet {
-        match self.get(&trace_envelope_key(key)) {
-            GetResult::Hit(v) => decode_trace_envelope(&v),
-            GetResult::Miss => TraceGet::Miss,
-            GetResult::Corrupt => TraceGet::Corrupt,
-        }
-    }
-
-    /// Stores the recorded functional trace for a semantic key.
-    /// Overwrites are idempotent: traces are a pure function of the
-    /// key, so any write is as good as the first.
-    ///
-    /// # Errors
-    ///
-    /// Returns IO failures; callers degrade to not caching the trace.
-    fn put_trace(&self, key: &str, bytes: &[u8]) -> io::Result<()> {
-        let envelope = Value::Object(vec![
-            ("fnv".to_string(), Value::U64(hash::fnv64(bytes))),
-            ("hex".to_string(), Value::Str(hex_encode(bytes))),
-        ]);
-        self.put(&trace_envelope_key(key), &envelope)
-    }
-
     /// Current counters.
     fn stats(&self) -> StoreStats;
 
@@ -223,48 +176,6 @@ pub trait ResultStore: Send + Sync + std::fmt::Debug {
     ///
     /// Returns IO failures from the flush.
     fn flush(&self) -> io::Result<()>;
-}
-
-/// The JSON cache key the default (envelope) trace path files traces
-/// under — namespaced so it can never collide with a result key.
-fn trace_envelope_key(key: &str) -> Value {
-    Value::Object(vec![("trace".to_string(), Value::Str(key.to_string()))])
-}
-
-/// Verifies and unwraps an envelope written by the default
-/// [`ResultStore::put_trace`].
-fn decode_trace_envelope(v: &Value) -> TraceGet {
-    let (Some(fnv), Some(hex)) = (
-        v.get("fnv").and_then(Value::as_u64),
-        v.get("hex").and_then(Value::as_str),
-    ) else {
-        return TraceGet::Corrupt;
-    };
-    let Some(bytes) = hex_decode(hex) else {
-        return TraceGet::Corrupt;
-    };
-    if hash::fnv64(&bytes) != fnv {
-        return TraceGet::Corrupt;
-    }
-    TraceGet::Hit(bytes)
-}
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
-        .collect()
 }
 
 /// Opens the store at `dir`, auto-detecting the layout:
@@ -362,42 +273,6 @@ mod tests {
         let store = open_dir(&dir, None).unwrap();
         assert_eq!(store.backend_name(), "lsm");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_backend_serves_traces_through_the_envelope() {
-        let dir = scratch("legacy-trace");
-        let store = LegacyStore::open(&dir).unwrap();
-        let blob: Vec<u8> = vec![0x00, 0xff, 0x42, 0x42, 0x80];
-        assert_eq!(store.get_trace("k"), TraceGet::Miss);
-        store.put_trace("k", &blob).unwrap();
-        assert_eq!(store.get_trace("k"), TraceGet::Hit(blob.clone()));
-        // A tampered envelope (fnv mismatch) must never replay.
-        store
-            .put(
-                &trace_envelope_key("bad"),
-                &Value::Object(vec![
-                    ("fnv".into(), Value::U64(1)),
-                    ("hex".into(), Value::Str(hex_encode(&blob))),
-                ]),
-            )
-            .unwrap();
-        assert_eq!(store.get_trace("bad"), TraceGet::Corrupt);
-        // And the trace key can never shadow a result key.
-        assert!(matches!(
-            store.get(&Value::Str("k".into())),
-            GetResult::Miss
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn hex_round_trips_and_rejects_garbage() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        assert_eq!(hex_decode(&hex_encode(&bytes)), Some(bytes));
-        assert_eq!(hex_decode("0"), None, "odd length");
-        assert_eq!(hex_decode("zz"), None, "non-hex");
-        assert_eq!(hex_decode(""), Some(Vec::new()));
     }
 
     #[test]

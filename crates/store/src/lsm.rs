@@ -44,7 +44,7 @@ use crate::quarantine;
 use crate::record::{JournalRecord, Record, RecordKind};
 use crate::segment::Segment;
 use crate::wal::Wal;
-use crate::{GetResult, ResultStore, ResumeState, StoreStats, TraceGet};
+use crate::{GetResult, ResultStore, ResumeState, StoreStats};
 
 /// Tuning knobs; the defaults suit sweep workloads.
 #[derive(Debug, Clone)]
@@ -75,9 +75,6 @@ struct MemRec {
     digest: Option<u64>,
     epoch: u64,
     value: Option<Vec<u8>>,
-    /// The value is a raw trace blob, not JSON — round-trips the
-    /// record kind through flush and compaction.
-    trace: bool,
 }
 
 impl MemRec {
@@ -92,18 +89,16 @@ impl MemRec {
         if rec.digest.is_some() {
             self.digest = rec.digest;
         }
-        if rec.kind == RecordKind::Put || rec.kind == RecordKind::Trace {
+        if rec.kind == RecordKind::Put {
             self.value = Some(rec.value.clone());
-            self.trace = rec.kind == RecordKind::Trace;
         }
     }
 
     fn to_record(&self) -> Record {
         Record {
-            kind: match (&self.value, self.trace) {
-                (Some(_), true) => RecordKind::Trace,
-                (Some(_), false) => RecordKind::Put,
-                (None, _) => RecordKind::Mark,
+            kind: match self.value {
+                Some(_) => RecordKind::Put,
+                None => RecordKind::Mark,
             },
             epoch: self.epoch,
             rk: self.rk.clone(),
@@ -125,9 +120,6 @@ struct Counters {
     compactions: AtomicU64,
     recovered_records: AtomicU64,
     truncated_tail_bytes: AtomicU64,
-    trace_hits: AtomicU64,
-    trace_misses: AtomicU64,
-    trace_stores: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -268,7 +260,7 @@ impl LsmStore {
         let mut mem: HashMap<u128, MemRec> = HashMap::new();
         for rec in &recovery.records {
             epoch = epoch.max(rec.epoch);
-            if rec.kind == RecordKind::Epoch {
+            if matches!(rec.kind, RecordKind::Epoch | RecordKind::Obsolete) {
                 continue;
             }
             mem.entry(rec.addr()).or_default().absorb(rec);
@@ -351,7 +343,6 @@ impl LsmStore {
                     slot.epoch = slot.epoch.max(older.epoch);
                     if slot.value.is_none() {
                         slot.value = older.value;
-                        slot.trace = older.trace;
                     }
                     if slot.value.is_some() {
                         return Ok(merged);
@@ -504,6 +495,8 @@ fn compact_once(shared: &Arc<Shared>) {
     for seg in snapshot.iter() {
         for (addr, rec) in seg.iter() {
             match rec {
+                // Older versions' trace records are dropped here.
+                Ok(rec) if rec.kind == RecordKind::Obsolete => {}
                 Ok(rec) => merged.entry(addr).or_default().absorb(&rec),
                 Err(reason) => {
                     // Superseded-or-corrupt records do not survive
@@ -707,90 +700,6 @@ impl ResultStore for LsmStore {
         Ok(())
     }
 
-    fn get_trace(&self, key: &str) -> TraceGet {
-        let shared = &self.shared;
-        let rk = format!("trace:{key}");
-        let addr = crate::hash::stable_addr(rk.as_bytes());
-        let from_mem = lock(&shared.inner)
-            .mem
-            .get(&addr)
-            .filter(|m| m.rk == rk && m.value.is_some())
-            .map(|m| (m.value.clone().unwrap_or_default(), m.digest));
-        let found = match from_mem {
-            Some(found) => Some(found),
-            None => {
-                if lock(&shared.poisoned).contains(&addr) {
-                    shared.counters.trace_misses.fetch_add(1, Ordering::Relaxed);
-                    return TraceGet::Miss;
-                }
-                match self.segment_lookup(addr, &rk) {
-                    Ok(found) => found
-                        .filter(|m| m.value.is_some())
-                        .map(|m| (m.value.unwrap_or_default(), m.digest)),
-                    Err(()) => {
-                        shared.counters.trace_misses.fetch_add(1, Ordering::Relaxed);
-                        return TraceGet::Corrupt;
-                    }
-                }
-            }
-        };
-        match found {
-            Some((bytes, Some(d))) if crate::hash::fnv64(&bytes) == d => {
-                shared.counters.trace_hits.fetch_add(1, Ordering::Relaxed);
-                TraceGet::Hit(bytes)
-            }
-            Some(_) => {
-                // The frame CRC held but the payload digest does not
-                // match (or was never written): a writer bug, not bit
-                // rot. Poison the address; a fresh store supersedes.
-                shared.counters.trace_misses.fetch_add(1, Ordering::Relaxed);
-                lock(&shared.poisoned).insert(addr);
-                TraceGet::Corrupt
-            }
-            None => {
-                shared.counters.trace_misses.fetch_add(1, Ordering::Relaxed);
-                TraceGet::Miss
-            }
-        }
-    }
-
-    fn put_trace(&self, key: &str, bytes: &[u8]) -> io::Result<()> {
-        let shared = &self.shared;
-        let rk = format!("trace:{key}");
-        let addr = crate::hash::stable_addr(rk.as_bytes());
-        let epoch = shared.epoch.load(Ordering::Relaxed);
-        let digest = crate::hash::fnv64(bytes);
-        {
-            let mut inner = lock(&shared.inner);
-            if inner
-                .mem
-                .get(&addr)
-                .is_some_and(|m| m.rk == rk && m.value.is_some() && m.digest == Some(digest))
-            {
-                // Traces are a pure function of the semantic key, so
-                // an identical in-memory copy makes this a no-op.
-                shared.counters.trace_stores.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            let rec = Record {
-                kind: RecordKind::Trace,
-                epoch,
-                rk,
-                id: String::new(),
-                digest: Some(digest),
-                value: bytes.to_vec(),
-            };
-            self.append_wal(&rec)?;
-            inner.mem.entry(addr).or_default().absorb(&rec);
-        }
-        // A fresh trace supersedes any poisoned history here, exactly
-        // like a fresh put.
-        lock(&shared.poisoned).remove(&addr);
-        shared.counters.trace_stores.fetch_add(1, Ordering::Relaxed);
-        self.maybe_flush();
-        Ok(())
-    }
-
     fn journal_append(&self, rec: &JournalRecord) -> io::Result<()> {
         failpoints::io("journal-append")?;
         let shared = &self.shared;
@@ -879,8 +788,11 @@ impl ResultStore for LsmStore {
         let mut merged: HashMap<u128, MemRec> = HashMap::new();
         for seg in self.snapshot().iter() {
             for (addr, rec) in seg.iter() {
-                if let Ok(rec) = rec {
-                    merged.entry(addr).or_default().absorb(&rec);
+                match rec {
+                    Ok(rec) if rec.kind != RecordKind::Obsolete => {
+                        merged.entry(addr).or_default().absorb(&rec);
+                    }
+                    _ => {}
                 }
             }
         }
@@ -900,7 +812,6 @@ impl ResultStore for LsmStore {
                 }
                 if mem.value.is_some() {
                     slot.value = mem.value.clone();
-                    slot.trace = mem.trace;
                 }
             }
         }
@@ -908,11 +819,6 @@ impl ResultStore for LsmStore {
         let mut state = ResumeState::default();
         for (addr, mem) in merged {
             if mem.epoch != current || poisoned.contains(&addr) {
-                continue;
-            }
-            // Trace records are cache content keyed by semantic key,
-            // not sweep progress — they never resume as completions.
-            if mem.trace {
                 continue;
             }
             let Some(bytes) = &mem.value else { continue };
@@ -942,9 +848,6 @@ impl ResultStore for LsmStore {
             compactions: c.compactions.load(Ordering::Relaxed),
             recovered_records: c.recovered_records.load(Ordering::Relaxed),
             truncated_tail_bytes: c.truncated_tail_bytes.load(Ordering::Relaxed),
-            trace_hits: c.trace_hits.load(Ordering::Relaxed),
-            trace_misses: c.trace_misses.load(Ordering::Relaxed),
-            trace_stores: c.trace_stores.load(Ordering::Relaxed),
             backend: self.backend_name(),
         }
     }
@@ -1209,89 +1112,119 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn traces_round_trip_through_wal_flush_and_reopen() {
-        let dir = scratch("traces");
-        let blob: Vec<u8> = (0..=255u8).cycle().take(700).collect();
-        {
-            let store = LsmStore::open(&dir).unwrap();
-            store.put_trace("sem-key-1", &blob).unwrap();
-            assert_eq!(store.get_trace("sem-key-1"), TraceGet::Hit(blob.clone()));
-            assert_eq!(store.get_trace("sem-key-2"), TraceGet::Miss);
-            let stats = store.stats();
-            assert_eq!(
-                (stats.trace_hits, stats.trace_misses, stats.trace_stores),
-                (1, 1, 1)
-            );
-        }
-        // Reopen from the WAL, then force the trace into a segment.
-        {
-            let store = LsmStore::open(&dir).unwrap();
-            assert_eq!(store.get_trace("sem-key-1"), TraceGet::Hit(blob.clone()));
-            store.flush().unwrap();
-            assert_eq!(store.get_trace("sem-key-1"), TraceGet::Hit(blob.clone()));
-        }
-        // Reopen again: the read comes from the mmap'd segment.
-        let store = LsmStore::open(&dir).unwrap();
-        assert_eq!(store.stats().recovered_records, 0);
-        assert_eq!(store.get_trace("sem-key-1"), TraceGet::Hit(blob));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// A frame body in the format older versions wrote, built byte by
+    /// byte: kind, epoch, resume key, id, digest flag + digest, payload.
+    fn old_body(kind: u8, epoch: u64, rk: &str, digest: Option<u64>, payload: &[u8]) -> Vec<u8> {
+        let mut body = vec![kind];
+        body.extend_from_slice(&epoch.to_le_bytes());
+        body.extend_from_slice(&(rk.len() as u32).to_le_bytes());
+        body.extend_from_slice(rk.as_bytes());
+        body.extend_from_slice(&0u32.to_le_bytes());
+        body.push(digest.is_some() as u8);
+        body.extend_from_slice(&digest.unwrap_or(0).to_le_bytes());
+        body.extend_from_slice(payload);
+        body
     }
 
     #[test]
-    fn traces_and_results_share_the_store_without_collisions() {
-        let dir = scratch("trace-mix");
-        let store = LsmStore::open_with(&dir, small_opts()).unwrap();
-        store.begin_sweep(false).unwrap();
-        for n in 0..6 {
-            store.journal_append(&journal_rec(n)).unwrap();
-            store
-                .put_trace(&format!("sem-{n}"), &[n as u8; 64])
-                .unwrap();
+    fn stores_holding_obsolete_trace_records_keep_every_result() {
+        let dir = scratch("old-format");
+        std::fs::create_dir_all(&dir).unwrap();
+        let rk = |n: u64| JournalRecord::resume_key(Some(&key(n)), "");
+        let trace_blob = [0xffu8, 0x00, 0x80, 0x7f, 0x03];
+        let trace_digest = Some(crate::hash::fnv64(&trace_blob));
+
+        // A segment holding one result and one trace record.
+        let seg_trace = Record {
+            kind: RecordKind::Obsolete,
+            epoch: 1,
+            rk: "trace:{\"func\":\"scu-func-1\"}".to_string(),
+            id: String::new(),
+            digest: trace_digest,
+            value: trace_blob.to_vec(),
+        };
+        let seg_put = Record {
+            kind: RecordKind::Put,
+            epoch: 1,
+            rk: rk(3),
+            id: String::new(),
+            digest: None,
+            value: b"30".to_vec(),
+        };
+        let mut seg_records = vec![(seg_trace.addr(), seg_trace), (seg_put.addr(), seg_put)];
+        Segment::write(&dir.join(segment_file_name(1)), &mut seg_records).unwrap();
+        Manifest {
+            epoch: 1,
+            next_segment: 2,
+            segments: vec![segment_file_name(1)],
         }
-        // Interleaved writes crossed the flush threshold; everything
-        // still reads back, and compaction preserves both kinds.
-        if let Some(h) = lock(&store.compact_handle).take() {
-            h.join().unwrap();
+        .store(&dir.join(CURRENT))
+        .unwrap();
+
+        // A WAL of Put, Trace, Put: the trace frame sits between the
+        // two results it must not cut off.
+        let mut wal = crate::wal::WAL_MAGIC.to_vec();
+        for body in [
+            old_body(1, 1, &rk(1), None, b"10"),
+            old_body(
+                3,
+                1,
+                "trace:{\"func\":\"scu-func-2\"}",
+                trace_digest,
+                &trace_blob,
+            ),
+            old_body(1, 1, &rk(2), None, b"20"),
+        ] {
+            crate::record::write_frame(&mut wal, &body);
         }
-        for n in 0..6 {
+        std::fs::write(dir.join("wal.log"), &wal).unwrap();
+
+        let store = LsmStore::open(&dir).unwrap();
+        for n in 1..=3 {
+            assert!(
+                matches!(store.get(&key(n)), GetResult::Hit(Value::U64(v)) if v == n * 10),
+                "result {n} lost"
+            );
+        }
+        let stats = store.stats();
+        assert_eq!(stats.truncated_tail_bytes, 0);
+        assert_eq!((stats.quarantined, stats.quarantined_total), (0, 0));
+        assert_eq!(
+            std::fs::read(dir.join("wal.log")).unwrap(),
+            wal,
+            "WAL intact"
+        );
+        assert_eq!(store.resume_state().unwrap().values.len(), 3);
+
+        // Flush the memtable, then compact both segments into one.
+        store.flush().unwrap();
+        compact_once(&store.shared);
+        assert_eq!(store.segment_count(), 1);
+        drop(store);
+        // Only the three results survive: no kind-3 record, and no
+        // leftover record under a trace key either.
+        let manifest = Manifest::load(&dir.join(CURRENT)).unwrap().unwrap();
+        let mut survivors = Vec::new();
+        for name in &manifest.segments {
+            let seg = Segment::open(&dir.join(name)).unwrap();
+            survivors.extend(seg.iter().map(|(_, rec)| {
+                let rec = rec.unwrap();
+                (rec.kind, rec.rk)
+            }));
+        }
+        survivors.sort_by(|a, b| a.1.cmp(&b.1));
+        assert_eq!(
+            survivors,
+            (1..=3)
+                .map(|n| (RecordKind::Put, rk(n)))
+                .collect::<Vec<_>>()
+        );
+        let store = LsmStore::open(&dir).unwrap();
+        assert_eq!(store.stats().recovered_records, 0, "WAL reset by the flush");
+        for n in 1..=3 {
             assert!(matches!(store.get(&key(n)), GetResult::Hit(Value::U64(v)) if v == n * 10));
-            assert_eq!(
-                store.get_trace(&format!("sem-{n}")),
-                TraceGet::Hit(vec![n as u8; 64])
-            );
         }
-        // Resume sees only the journaled cells, never the traces.
-        let state = store.resume_state().unwrap();
-        assert_eq!(state.values.len(), 6);
-        assert!(state.values.keys().all(|k| !k.starts_with("trace:")));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_trace_reads_corrupt_then_heals_on_rewrite() {
-        let dir = scratch("trace-poison");
-        let blob = vec![0xabu8; 600];
-        {
-            let store = LsmStore::open(&dir).unwrap();
-            store.put_trace("hurt", &blob).unwrap();
-            store.flush().unwrap();
-        }
-        // Flip a byte inside the segment's only frame: the payload is
-        // large, so an offset past the headers lands in the blob.
-        let seg_path = dir.join(segment_file_name(1));
-        let mut bytes = std::fs::read(&seg_path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&seg_path, &bytes).unwrap();
-        let store = LsmStore::open(&dir).unwrap();
-        assert_eq!(store.get_trace("hurt"), TraceGet::Corrupt);
-        assert!(store.stats().quarantined >= 1, "evidence retained");
-        // Poisoned: the repeat read is a cheap miss.
-        assert_eq!(store.get_trace("hurt"), TraceGet::Miss);
-        // A fresh recording supersedes the poisoned address.
-        store.put_trace("hurt", &blob).unwrap();
-        assert_eq!(store.get_trace("hurt"), TraceGet::Hit(blob));
+        assert_eq!(store.stats().quarantined_total, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,6 @@
 //! The record and frame formats shared by the WAL and segments.
 //!
-//! One *record* is one logical store event. Four kinds exist:
+//! One *record* is one logical store event. Three kinds are written:
 //!
 //! - `Put` — a finished cell: resume key, id, optional timeline
 //!   digest, and the value's canonical JSON bytes.
@@ -12,12 +12,12 @@
 //!   the epoch instead of truncating anything: resume state is "all
 //!   records at the current epoch", so old values stay readable as
 //!   cache entries while the journal is logically empty.
-//! - `Trace` — a recorded functional GPU trace, keyed by a cell's
-//!   *semantic* key (`trace:{key}`). Encoded exactly like a `Put` but
-//!   the payload is the raw trace-blob bytes (not JSON) and the
-//!   digest field carries the payload's FNV so reads verify end to
-//!   end without decoding. Trace records never participate in
-//!   resume — they are cache content, not sweep progress.
+//!
+//! A fourth kind, `Obsolete` (kind byte 3), is still *decoded* but
+//! never written: older versions stored recorded GPU traces under it,
+//! framed like a `Put` with a raw binary payload. Stores written by
+//! those versions stay readable — replay skips these records and
+//! flush and compaction drop them, so no result behind one is lost.
 //!
 //! On disk a record travels in a *frame*:
 //!
@@ -123,14 +123,15 @@ pub enum RecordKind {
     Put,
     /// A completion marker for an already-stored value.
     Mark,
-    /// A recorded functional trace (raw bytes, semantic-keyed).
-    Trace,
+    /// A record kind older versions wrote (kind byte 3); decoded so it
+    /// can be skipped, never written.
+    Obsolete,
 }
 
 impl RecordKind {
     /// Whether this kind carries a payload after the fixed fields.
     fn has_value(self) -> bool {
-        matches!(self, RecordKind::Put | RecordKind::Trace)
+        matches!(self, RecordKind::Put | RecordKind::Obsolete)
     }
 }
 
@@ -177,7 +178,7 @@ impl Record {
             RecordKind::Epoch => 0u8,
             RecordKind::Put => 1,
             RecordKind::Mark => 2,
-            RecordKind::Trace => 3,
+            RecordKind::Obsolete => 3,
         };
         let mut body = Vec::with_capacity(32 + self.rk.len() + self.id.len() + self.value.len());
         body.push(kind);
@@ -208,7 +209,7 @@ impl Record {
             0 => RecordKind::Epoch,
             1 => RecordKind::Put,
             2 => RecordKind::Mark,
-            3 => RecordKind::Trace,
+            3 => RecordKind::Obsolete,
             other => return Err(format!("unknown record kind {other}")),
         };
         let epoch = cur.u64()?;
@@ -364,11 +365,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_round_trip_raw_binary_payloads() {
-        // Trace payloads are not JSON and not UTF-8; the frame format
-        // must carry them byte-exact.
+    fn obsolete_records_decode_with_raw_binary_payloads() {
+        // Kind 3 payloads are not JSON and not UTF-8; they must still
+        // decode, so a reader can skip them instead of stopping.
         let rec = Record {
-            kind: RecordKind::Trace,
+            kind: RecordKind::Obsolete,
             epoch: 5,
             rk: "trace:{\"func\":\"scu-func-1\"}".to_string(),
             id: String::new(),

@@ -71,73 +71,104 @@ fn fresh() -> (ScuDevice, MemorySystem, DeviceAllocator) {
     )
 }
 
-/// The `SimThreads` knob is byte-invisible: every algorithm × device
-/// config produces an identical serialised [`scu::algos::CellResult`]
-/// (answer fingerprint, full report, phase rows) and an identical
-/// timeline digest at 1, 2 and 4 timing lanes. This is the contract
-/// that keeps the knob out of the content-addressed cache key.
-///
-/// Not a proptest: the matrix is exact (5 algorithms × 3 configs × 3
-/// thread counts) and the assertion is equality of serialised bytes.
-#[test]
-fn sim_threads_knob_is_byte_invisible() {
+/// The reference cell the cache-key properties mutate away from. SCU
+/// mode so hash-table geometry participates in the key.
+fn base_cell() -> scu::algos::cell::Cell {
+    use scu::algos::cell::Cell;
     use scu::algos::runner::{Algorithm, Mode};
-    use scu::algos::{Cell, SimThreads};
-    use scu::bench::ExperimentConfig;
     use scu::graph::Dataset;
 
-    let mut cfg = ExperimentConfig::from_env();
-    cfg.scale = 1.0 / 256.0;
-    // GTX980 exercises 16-way lanes; TX1 caps the fan-out at its 2 SMs.
-    let combos = [
-        (SystemKind::Tx1, Mode::GpuBaseline),
-        (SystemKind::Tx1, Mode::ScuEnhanced),
-        (SystemKind::Gtx980, Mode::ScuEnhanced),
-    ];
-    let algos = [
-        Algorithm::Bfs,
-        Algorithm::Sssp,
-        Algorithm::PageRank,
-        Algorithm::Cc,
-        Algorithm::KCore,
-    ];
-
-    let run_matrix = |threads: usize| -> Vec<(String, String, u64)> {
-        SimThreads::set(threads);
-        let mut out = Vec::new();
-        for &(system, mode) in &combos {
-            for &algo in &algos {
-                let cell = Cell {
-                    algorithm: algo,
-                    dataset: Dataset::Kron,
-                    system,
-                    mode,
-                    pr_iters: cfg.pr_iters,
-                    scale: cfg.scale,
-                    seed: 42,
-                    scu_config: Some(cfg.scu_config(system)),
-                };
-                let result = cell.run();
-                let json = serde_json::to_string(&serde_json::to_value(&result))
-                    .expect("CellResult serialises");
-                out.push((cell.id(), json, result.timeline_digest));
-            }
-        }
-        out
-    };
-
-    let sequential = run_matrix(1);
-    for threads in [2usize, 4] {
-        let threaded = run_matrix(threads);
-        for (seq, par) in sequential.iter().zip(&threaded) {
-            assert_eq!(
-                seq, par,
-                "cell diverged between --sim-threads 1 and {threads}"
-            );
-        }
-        assert_eq!(sequential.len(), threaded.len());
+    Cell {
+        algorithm: Algorithm::Bfs,
+        dataset: Dataset::Kron,
+        system: SystemKind::Tx1,
+        mode: Mode::ScuEnhanced,
+        pr_iters: 3,
+        scale: 1.0 / 256.0,
+        seed: 7,
+        scu_config: None,
     }
-    SimThreads::set(1);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Timing-only knobs (frequencies, buffer depths, issue costs, DRAM
+    /// efficiency) change *when* things happen, not what the kernels
+    /// compute — but they change the reported cycles, so each must move
+    /// the result-cache key: cells differing in one may not share a
+    /// cached result.
+    #[test]
+    fn timing_knobs_always_move_the_cache_key(knob in 0usize..10, delta in 1u32..64) {
+        let base = base_cell();
+        let mut cfg = base.system.scu_config();
+        match knob {
+            0 => cfg.freq_ghz += f64::from(delta) * 0.01,
+            1 => cfg.pipeline_width += delta,
+            2 => cfg.vector_buffer_bytes += delta * 128,
+            3 => cfg.fifo_request_buffer_bytes += delta * 128,
+            4 => cfg.hash_request_buffer_bytes += delta * 128,
+            5 => cfg.coalescer_in_flight += delta,
+            6 => cfg.coalescer_merge_window += delta,
+            7 => cfg.op_setup_cycles += delta,
+            8 => cfg.op_issue_ns += f64::from(delta),
+            9 => cfg.dram_efficiency *= 1.0 - f64::from(delta) * 0.001,
+            _ => unreachable!(),
+        }
+        let mut tweaked = base.clone();
+        tweaked.scu_config = Some(cfg);
+        prop_assert!(
+            tweaked.cache_key() != base.cache_key(),
+            "timing knob {} shares a key",
+            knob
+        );
+    }
+
+    /// Functional knobs — algorithm, dataset, graph scale/seed, system,
+    /// hash-table geometry — change what the kernels compute, so each
+    /// must move the result-cache key.
+    #[test]
+    fn functional_knobs_always_move_the_cache_key(knob in 0usize..6, pick in 0u64..1_000_000) {
+        use scu::algos::runner::Algorithm;
+        use scu::graph::Dataset;
+
+        let base = base_cell();
+        let mut c = base.clone();
+        match knob {
+            0 => c.seed = base.seed.wrapping_add(1 + pick),
+            1 => c.scale = base.scale * (1.0 + (pick as f64 + 1.0) * 1e-6),
+            2 => {
+                let others = [
+                    Algorithm::Sssp,
+                    Algorithm::Cc,
+                    Algorithm::KCore,
+                    Algorithm::PageRank,
+                ];
+                c.algorithm = others[(pick % 4) as usize];
+            }
+            3 => {
+                let others: Vec<Dataset> = Dataset::ALL
+                    .into_iter()
+                    .filter(|d| d.name() != base.dataset.name())
+                    .collect();
+                c.dataset = others[(pick as usize) % others.len()];
+            }
+            4 => {
+                // Hash-table geometry is functional: eviction decides
+                // which duplicates survive filtering.
+                let mut cfg = base.system.scu_config();
+                cfg.filter_bfs_hash.size_bytes *= 2;
+                c.scu_config = Some(cfg);
+            }
+            5 => c.system = SystemKind::Gtx980,
+            _ => unreachable!(),
+        }
+        prop_assert!(
+            c.cache_key() != base.cache_key(),
+            "functional knob {} shares a key",
+            knob
+        );
+    }
 }
 
 proptest! {
