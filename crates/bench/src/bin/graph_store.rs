@@ -98,12 +98,14 @@ fn build(dir: &str, datasets: &[Dataset]) {
         };
         let o = artifact::last_outcome().expect("load_or_build records an outcome");
         println!(
-            "{d:<9} {:<8} {:>10} nodes {:>11} edges  mapped {:>12} B  build {:>9.2} s  {}",
+            "{d:<9} {:<8} {:>10} nodes {:>11} edges  mapped {:>12} B  build {:>9.2} s  \
+             publish {:>6.2} s  {}",
             o.disposition.label(),
             g.num_nodes(),
             g.num_edges(),
             o.bytes_mapped,
             o.build_wall.as_secs_f64(),
+            o.publish_wall.as_secs_f64(),
             o.key,
         );
     }

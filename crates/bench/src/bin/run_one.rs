@@ -21,7 +21,7 @@
 //! "where does this cell's time go" view without leaving the
 //! terminal, plus the GPU engine's host wall-clock. Locally simulated
 //! cells also get the graph artifact store's verdict (artifact key,
-//! hit/built/rebuilt, bytes mapped, generator wall time; pass
+//! hit/built/rebuilt, bytes mapped, generator and publish wall time; pass
 //! `--no-graph-artifacts` to build in memory).
 //!
 //! With `--remote URL` the cell is obtained from a running `scu_serve`
@@ -333,7 +333,8 @@ fn main() {
 /// Renders the graph artifact store's verdict for this process: which
 /// artifact key the graph ran under, whether it was served zero-copy
 /// (hit), built and published (built), or quarantined and rebuilt
-/// (rebuilt), plus bytes mapped and the generator wall time.
+/// (rebuilt), plus bytes mapped, the generator wall time and the
+/// publish (digest, write, fsync) wall time.
 fn print_graph_outcome() {
     println!("\n--- profile: graph artifact store ---");
     match scu_algos::graph_artifact::last_outcome() {
@@ -362,6 +363,10 @@ fn print_graph_outcome() {
             println!(
                 "build wall       {:>12.1} ms",
                 o.build_wall.as_secs_f64() * 1e3
+            );
+            println!(
+                "publish wall     {:>12.1} ms",
+                o.publish_wall.as_secs_f64() * 1e3
             );
         }
     }

@@ -131,6 +131,9 @@ pub struct GraphArtifactOutcome {
     pub bytes_mapped: u64,
     /// Wall time spent generating the graph (zero on a hit).
     pub build_wall: Duration,
+    /// Wall time spent publishing the built graph — digest, write and
+    /// fsync of the artifact (zero on a hit).
+    pub publish_wall: Duration,
 }
 
 /// Process-wide counters, mirrored into `/metrics`.
@@ -315,6 +318,7 @@ impl GraphStore {
                     disposition: ArtifactDisposition::Hit,
                     bytes_mapped,
                     build_wall: Duration::ZERO,
+                    publish_wall: Duration::ZERO,
                 });
                 return Ok(g);
             }
@@ -346,9 +350,11 @@ impl GraphStore {
         let g = build()?;
         let build_wall = start.elapsed();
         BUILDS.fetch_add(1, Ordering::Relaxed);
+        let start = Instant::now();
         if let Err(e) = self.publish(&path, &key, &g) {
             eprintln!("[scu-graph] artifact publish failed for {key}: {e}; continuing unpublished");
         }
+        let publish_wall = start.elapsed();
         record_outcome(&GraphArtifactOutcome {
             key,
             disposition: if rebuilt {
@@ -358,6 +364,7 @@ impl GraphStore {
             },
             bytes_mapped: 0,
             build_wall,
+            publish_wall,
         });
         Ok(g)
     }
@@ -682,15 +689,16 @@ mod tests {
         let after = stats();
         assert_eq!(after.quarantined, before.quarantined + 1);
         assert_eq!(quarantine::retained(&store.quarantine_dir()), 1);
-        assert_eq!(
-            last_outcome().unwrap().disposition,
-            ArtifactDisposition::Rebuilt
-        );
+        let rebuilt = last_outcome().unwrap();
+        assert_eq!(rebuilt.disposition, ArtifactDisposition::Rebuilt);
+        // Writing and fsyncing the file takes measurable time.
+        assert!(rebuilt.publish_wall > Duration::ZERO);
         // The rebuild republished a good artifact.
         let again = store
             .load_or_build(Dataset::Kron, 0.5, 3, || panic!("republished, no rebuild"))
             .unwrap();
         assert_eq!(again, sample());
+        assert_eq!(last_outcome().unwrap().publish_wall, Duration::ZERO);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
