@@ -1,20 +1,15 @@
 //! Criterion microbenchmarks of the result-store hot paths: WAL
 //! appends (the per-finished-cell cost), point reads from a sealed
-//! segment vs. the legacy one-file-per-entry layout, and cold-open
-//! recovery (what `--resume` pays before the first cell runs) at 10k
-//! and 100k records. The acceptance bar for the storage swap is that
-//! the LSM layout beats the legacy layout on point reads and on
-//! cold-open at 100k; `bench_gate` pins the numbers in
-//! `BENCH_baseline.json`.
+//! segment, and cold-open recovery (what `--resume` pays before the
+//! first cell runs) at 10k and 100k records. `bench_gate` pins the
+//! numbers in `BENCH_baseline.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::io::Write as _;
 use std::path::PathBuf;
 
 use scu_store::lsm::{LsmOptions, LsmStore};
 use scu_store::record::JournalRecord;
-use scu_store::{LegacyStore, ResultStore};
 use serde_json::Value;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -62,30 +57,16 @@ fn sealed_lsm(tag: &str, n: u64) -> PathBuf {
     for i in 0..n {
         store.journal_append(&record(i)).unwrap();
     }
-    ResultStore::flush(&store).unwrap();
+    store.flush().unwrap();
     dir
-}
-
-/// A legacy line-JSON journal holding `n` records (the pre-store
-/// resume path parsed this on every `--resume`).
-fn legacy_journal(tag: &str, n: u64) -> (PathBuf, PathBuf) {
-    let dir = scratch(tag);
-    let manifest = dir.join("manifest.json");
-    let mut out = std::io::BufWriter::new(std::fs::File::create(&manifest).unwrap());
-    for i in 0..n {
-        let line = serde_json::to_string(&record(i).to_value()).unwrap();
-        writeln!(out, "{line}").unwrap();
-    }
-    out.flush().unwrap();
-    (dir, manifest)
 }
 
 fn bench_append(c: &mut Criterion) {
     let mut g = c.benchmark_group("store_micro");
     g.sample_size(20);
 
-    // One finished cell = one durable journal append. LSM: a
-    // CRC-framed WAL write. Legacy: a whole temp-file + rename blob.
+    // One finished cell = one durable journal append: a CRC-framed
+    // WAL write.
     g.bench_function(BenchmarkId::new("append", "wal"), |b| {
         let dir = scratch("append-wal");
         let opts = LsmOptions {
@@ -105,17 +86,6 @@ fn bench_append(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
     });
 
-    g.bench_function(BenchmarkId::new("append", "legacy-blob"), |b| {
-        let dir = scratch("append-legacy");
-        let store = LegacyStore::open(&dir).unwrap();
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 1) % 1024;
-            store.put(&key(i), &value(i)).unwrap();
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-    });
-
     g.finish();
 }
 
@@ -132,20 +102,6 @@ fn bench_point_read(c: &mut Criterion) {
             black_box(store.get(&key(i)));
         });
         drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
-    });
-
-    g.bench_function(BenchmarkId::new("point-read", "legacy-10k"), |b| {
-        let dir = scratch("read-legacy");
-        let store = LegacyStore::open(&dir).unwrap();
-        for i in 0..10_000u64 {
-            store.put(&key(i), &value(i)).unwrap();
-        }
-        let mut i = 0u64;
-        b.iter(|| {
-            i = (i + 7919) % 10_000;
-            black_box(store.get(&key(i)));
-        });
         let _ = std::fs::remove_dir_all(&dir);
     });
 
@@ -170,20 +126,6 @@ fn bench_cold_open(c: &mut Criterion) {
             },
         );
         let _ = std::fs::remove_dir_all(&lsm_dir);
-
-        let (legacy_dir, manifest) = legacy_journal(&format!("cold-legacy-{n}"), n);
-        g.bench_function(
-            BenchmarkId::new("cold-open", format!("legacy-{short}k")),
-            |b| {
-                b.iter(|| {
-                    let store = LegacyStore::open(&legacy_dir)
-                        .unwrap()
-                        .with_manifest(manifest.clone());
-                    black_box(store.resume_state().unwrap().values.len())
-                });
-            },
-        );
-        let _ = std::fs::remove_dir_all(&legacy_dir);
     }
 
     g.finish();

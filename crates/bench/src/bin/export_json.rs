@@ -7,9 +7,9 @@
 //!
 //! Accepts the shared harness flags: `--jobs N`, `--no-cache`,
 //! `--filter SUBSTR`, `--timeout-secs N`, `--retries N`, `--resume`.
-//! Completions are journaled to `results/manifest.json`, so a killed
-//! export rerun with `--resume` recomputes only the missing cells and
-//! produces byte-identical JSON. The matrix covers the paper's three
+//! Completions are journaled in the result store (`results/cache`), so
+//! a killed export rerun with `--resume` recomputes only the missing
+//! cells and produces byte-identical JSON. The matrix covers the paper's three
 //! primitives plus the CC and k-core extensions.
 
 use scu_algos::runner::Mode;

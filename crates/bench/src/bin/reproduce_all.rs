@@ -8,10 +8,10 @@
 //! `results/reproduce_progress.txt`.
 //!
 //! Robustness: flaky cells are retried (`--retries N`, default 2);
-//! completions are journaled to `results/manifest.json` as they land,
-//! so a killed run restarts with `--resume` and re-executes only the
-//! cells the journal missed. The first Ctrl-C drains in-flight cells,
-//! writes the manifest and exits 130; the second kills immediately.
+//! completions are journaled in the result store as they land, so a
+//! killed run restarts with `--resume` and re-executes only the cells
+//! the journal missed. The first Ctrl-C drains in-flight cells into the
+//! journal and exits 130; the second kills immediately.
 //!
 //! Scale with `SCU_SCALE` (default 1/16 of published dataset sizes).
 //!

@@ -116,3 +116,14 @@ fn sweep_binaries_reject_filters_matching_nothing() {
         );
     }
 }
+
+#[test]
+fn resume_without_the_store_is_rejected() {
+    // The journal lives in the result store, which --no-cache turns
+    // off, so the pair can only be a mistake.
+    assert_rejects(
+        env!("CARGO_BIN_EXE_export_json"),
+        &["--no-cache", "--resume"],
+        "--resume reads the journal in the result store, which --no-cache",
+    );
+}

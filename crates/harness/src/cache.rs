@@ -1,26 +1,19 @@
 //! Content-addressed result cache — the harness-side front door to
-//! [`scu_store::ResultStore`].
+//! [`scu_store::LsmStore`].
 //!
-//! Historically this module *was* the storage: one JSON blob per entry
-//! named by the stable digest of the key's canonical serialisation.
-//! That layout now lives in `scu_store::LegacyStore`; the default for
-//! new directories is `scu_store::LsmStore` (WAL + mmap segments), and
-//! [`ResultCache::open`] auto-detects which one a directory holds, so
-//! existing result trees keep working unconverted.
-//!
-//! The guarantees are the trait's, unchanged from the blob era:
+//! Entries are keyed by the canonical JSON of a job's cache key and
+//! live in the store's write-ahead log and memory-mapped segments. The
+//! guarantees are the store's:
 //!
 //! - **Corruption-proof reads**: a truncated, flipped, or hand-edited
-//!   entry is detected (key check + value digest in the legacy layout;
-//!   CRC-framed records in the LSM layout), **quarantined** into
-//!   `<dir>/quarantine/` (bounded — oldest evicted beyond a cap) and
-//!   reads as a miss. Never a third outcome.
-//! - **Atomic writes**: temp-file rename (legacy) or WAL append + an
-//!   atomic manifest swap (LSM).
+//!   record fails its CRC, is **quarantined** into `<dir>/quarantine/`
+//!   (bounded — oldest evicted beyond a cap) and reads as a miss.
+//!   Never a third outcome.
+//! - **Atomic writes**: WAL append plus an atomic manifest swap.
 //! - **Thread safety**: all methods take `&self`; one cache may be
 //!   shared across worker threads and batches.
 //! - **Fault injection**: the `cache-load` and `cache-store` failpoint
-//!   sites fire inside whichever backend is active.
+//!   sites fire inside the store.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -30,7 +23,7 @@ use serde_json::Value;
 use crate::error::HarnessError;
 use crate::failpoint;
 
-pub use scu_store::{GetResult, ResultStore, StoreStats};
+pub use scu_store::{GetResult, LsmStore, StoreStats};
 
 /// Counters of one cache's activity within this process.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -48,18 +41,17 @@ pub struct ResultCacheStats {
     pub quarantined_total: u64,
 }
 
-/// A directory of content-addressed results, backed by whichever
-/// [`ResultStore`] layout the directory holds.
+/// A directory of content-addressed results, backed by an
+/// [`LsmStore`].
 #[derive(Debug, Clone)]
 pub struct ResultCache {
-    backend: Arc<dyn ResultStore>,
+    backend: Arc<LsmStore>,
 }
 
 impl ResultCache {
-    /// Opens (creating if needed) a cache directory, auto-detecting
-    /// the layout: an LSM store where its `CURRENT` manifest exists,
-    /// the legacy blob layout where loose `*.json` entries do, a fresh
-    /// LSM store otherwise.
+    /// Opens (creating or recovering) the store at `dir`. Loose files
+    /// the store does not own, such as `*.json` blobs of the retired
+    /// per-file layout, are ignored: such a directory opens empty.
     ///
     /// # Errors
     ///
@@ -68,23 +60,8 @@ impl ResultCache {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, HarnessError> {
         failpoint::install_store_hook();
         let dir = dir.into();
-        let backend = scu_store::open_dir(&dir, None)
-            .map_err(|e| HarnessError::io("create cache dir", &dir, e))?;
-        Ok(ResultCache { backend })
-    }
-
-    /// Opens the directory explicitly as the legacy per-file layout
-    /// (used by corruption tests and migration tooling that poke blob
-    /// files directly).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HarnessError::Io`] if the directory cannot be created.
-    pub fn open_legacy(dir: impl Into<PathBuf>) -> Result<Self, HarnessError> {
-        failpoint::install_store_hook();
-        let dir = dir.into();
-        let backend = scu_store::LegacyStore::open(&dir)
-            .map_err(|e| HarnessError::io("create cache dir", &dir, e))?;
+        let backend =
+            LsmStore::open(&dir).map_err(|e| HarnessError::io("create cache dir", &dir, e))?;
         Ok(ResultCache {
             backend: Arc::new(backend),
         })
@@ -92,14 +69,14 @@ impl ResultCache {
 
     /// Wraps an already-open backend (how the server shares one store
     /// across its scheduler and every batch harness).
-    pub fn from_backend(backend: Arc<dyn ResultStore>) -> Self {
+    pub fn from_backend(backend: Arc<LsmStore>) -> Self {
         failpoint::install_store_hook();
         ResultCache { backend }
     }
 
     /// The backend, for sharing (see [`crate::Harness::store_backend`])
     /// and for store-level statistics.
-    pub fn backend(&self) -> Arc<dyn ResultStore> {
+    pub fn backend(&self) -> Arc<LsmStore> {
         Arc::clone(&self.backend)
     }
 
@@ -111,12 +88,6 @@ impl ResultCache {
     /// Where corrupt entries are moved.
     pub fn quarantine_dir(&self) -> PathBuf {
         self.backend.quarantine_dir()
-    }
-
-    /// The digest addressing `key` (the blob filename stem in the
-    /// legacy layout; half of the record address in the LSM layout).
-    pub fn digest_of(key: &Value) -> String {
-        scu_store::LegacyStore::digest_of(key)
     }
 
     /// Loads the value stored for `key`, if present and intact. A
@@ -209,135 +180,9 @@ mod tests {
     }
 
     #[test]
-    fn fresh_directories_use_the_lsm_backend() {
-        let dir = scratch_dir("lsm-default");
-        let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.store_stats().backend, "lsm");
-        assert!(cache.backend().unified_journal());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_blob_directories_are_detected() {
-        let dir = scratch_dir("legacy-detect");
-        ResultCache::open_legacy(&dir)
-            .unwrap()
-            .store(&key(1), &Value::U64(10))
-            .unwrap();
-        let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.store_stats().backend, "legacy");
-        assert_eq!(cache.load(&key(1)), Some(Value::U64(10)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn key_mismatch_is_quarantined() {
-        let dir = scratch_dir("mismatch");
-        let cache = ResultCache::open_legacy(&dir).unwrap();
-        cache.store(&key(1), &Value::U64(1)).unwrap();
-        // Corrupt the envelope by rewriting it under the same digest
-        // with a different key.
-        let path = dir.join(format!("{}.json", ResultCache::digest_of(&key(1))));
-        std::fs::write(&path, r#"{"key":{"cell":999},"value":123}"#).unwrap();
-        assert_eq!(cache.load(&key(1)), None);
-        assert_eq!(cache.stats().quarantined, 1);
-        assert!(!path.exists(), "corrupt entry moved out of the cache");
-        assert!(
-            cache
-                .quarantine_dir()
-                .join(path.file_name().unwrap())
-                .exists(),
-            "corrupt entry kept for post-mortem"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn truncated_entry_is_quarantined_and_reads_as_miss() {
-        let dir = scratch_dir("truncated");
-        let cache = ResultCache::open_legacy(&dir).unwrap();
-        cache.store(&key(2), &Value::U64(2)).unwrap();
-        let path = dir.join(format!("{}.json", ResultCache::digest_of(&key(2))));
-        let full = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert_eq!(cache.load(&key(2)), None);
-        assert_eq!(cache.stats().quarantined, 1);
-        assert!(!path.exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn value_byte_flip_is_quarantined_not_served() {
-        let dir = scratch_dir("byte-flip");
-        let cache = ResultCache::open_legacy(&dir).unwrap();
-        cache.store(&key(3), &Value::U64(31337)).unwrap();
-        let path = dir.join(format!("{}.json", ResultCache::digest_of(&key(3))));
-        let text = std::fs::read_to_string(&path).unwrap();
-        // Flip one digit inside the value: still valid JSON, key still
-        // matches — only the value digest can catch this.
-        let flipped = text.replacen("31337", "31338", 1);
-        assert_ne!(text, flipped);
-        std::fs::write(&path, flipped).unwrap();
-        assert_eq!(cache.load(&key(3)), None);
-        assert_eq!(cache.stats().quarantined, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_value_digest_is_rejected() {
-        // Entries written by the pre-digest format must not be served.
-        let dir = scratch_dir("old-format");
-        let cache = ResultCache::open_legacy(&dir).unwrap();
-        let path = dir.join(format!("{}.json", ResultCache::digest_of(&key(4))));
-        std::fs::write(&path, r#"{"key":{"cell":4},"value":99}"#).unwrap();
-        assert_eq!(cache.load(&key(4)), None);
-        assert_eq!(cache.stats().quarantined, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn quarantine_retention_is_bounded() {
-        let dir = scratch_dir("q-cap");
-        let cache = ResultCache::open_legacy(&dir).unwrap();
-        // Corrupt far more entries than the cap retains.
-        let over = scu_store::quarantine::DEFAULT_QUARANTINE_CAP as u64 + 10;
-        for n in 0..over {
-            cache.store(&key(n), &Value::U64(n)).unwrap();
-            let path = dir.join(format!("{}.json", ResultCache::digest_of(&key(n))));
-            std::fs::write(&path, "garbage").unwrap();
-            assert_eq!(cache.load(&key(n)), None);
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.quarantined, over, "every corruption was counted");
-        assert_eq!(
-            stats.quarantined_total,
-            scu_store::quarantine::DEFAULT_QUARANTINE_CAP as u64,
-            "retention is capped, oldest evicted"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn injected_load_fault_degrades_to_miss() {
-        let dir = scratch_dir("fp-load");
-        let cache = ResultCache::open_legacy(&dir).unwrap();
-        cache.store(&key(5), &Value::U64(5)).unwrap();
-        {
-            let _fp = crate::failpoint::scoped("cache-load=io-error");
-            assert_eq!(cache.load(&key(5)), None, "injected IO error is a miss");
-        }
-        // The entry itself was untouched by the injected fault, but the
-        // load path counted and attempted quarantine; a real hit works
-        // again once the fault clears if the file survived the move.
-        assert!(cache.stats().misses >= 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn injected_load_fault_on_lsm_misses_without_quarantine() {
         let dir = scratch_dir("fp-load-lsm");
         let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.store_stats().backend, "lsm");
         cache.store(&key(5), &Value::U64(5)).unwrap();
         {
             let _fp = crate::failpoint::scoped("cache-load=io-error");
@@ -350,33 +195,17 @@ mod tests {
 
     #[test]
     fn injected_store_fault_is_typed_and_skips_write() {
-        for cache in [
-            ResultCache::open_legacy(scratch_dir("fp-store-legacy")).unwrap(),
-            ResultCache::open(scratch_dir("fp-store-lsm")).unwrap(),
-        ] {
-            let _fp = crate::failpoint::scoped("cache-store=io-error");
-            let err = cache.store(&key(6), &Value::U64(6)).unwrap_err();
-            assert!(matches!(
-                err,
-                HarnessError::Io {
-                    op: "store cache entry",
-                    ..
-                }
-            ));
-            assert_eq!(cache.stats().stores, 0);
-            let _ = std::fs::remove_dir_all(cache.dir());
-        }
-    }
-
-    #[test]
-    fn digests_are_canonical_per_key() {
-        assert_eq!(
-            ResultCache::digest_of(&key(1)),
-            ResultCache::digest_of(&key(1))
-        );
-        assert_ne!(
-            ResultCache::digest_of(&key(1)),
-            ResultCache::digest_of(&key(2))
-        );
+        let cache = ResultCache::open(scratch_dir("fp-store-lsm")).unwrap();
+        let _fp = crate::failpoint::scoped("cache-store=io-error");
+        let err = cache.store(&key(6), &Value::U64(6)).unwrap_err();
+        assert!(matches!(
+            err,
+            HarnessError::Io {
+                op: "store cache entry",
+                ..
+            }
+        ));
+        assert_eq!(cache.stats().stores, 0);
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

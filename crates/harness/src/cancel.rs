@@ -4,8 +4,8 @@
 //! arrives; the executor's workers poll it, finish their in-flight
 //! cells — completions still reach the journal — and stop drawing new
 //! ones. Remaining cells report [`crate::Outcome::Cancelled`] and the
-//! sweep ends with a summary plus a written manifest, so `--resume`
-//! picks up exactly where the interrupt landed.
+//! sweep ends with a summary and every completion journaled, so
+//! `--resume` picks up exactly where the interrupt landed.
 //!
 //! The handler is installed with the raw C `signal(2)` API (the `libc`
 //! crate is unavailable offline); the handler body only stores into an

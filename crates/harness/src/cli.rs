@@ -28,7 +28,8 @@ pub struct CliArgs {
     /// to 2 so one flaky cell does not cost a rerun).
     pub retries: u32,
     /// Resume from the journal of an interrupted sweep instead of
-    /// starting fresh.
+    /// starting fresh. The journal lives in the result store, so this
+    /// cannot be combined with [`CliArgs::no_cache`].
     pub resume: bool,
     /// Fail (non-zero exit) when a resumed cell re-runs and its
     /// timeline digest disagrees with the journaled one, instead of
@@ -62,15 +63,15 @@ impl Default for CliArgs {
 /// The usage block describing the shared flags, for `--help` output.
 pub const USAGE: &str = "harness options:\n  \
     --jobs N          worker threads (default: available cores)\n  \
-    --no-cache        recompute every cell, ignore cached results\n  \
+    --no-cache        recompute every cell without the result store (no cache,\n                    \
+no journal)\n  \
     --no-graph-artifacts  rebuild graphs in memory instead of serving mmap'd\n                    \
 artifacts (results are byte-identical either way)\n  \
     --filter SUBSTR   only run cells whose id contains SUBSTR\n  \
     --timeout-secs N  mark cells running longer than N seconds as timed out\n  \
     --retries N       retry failed/timed-out cells up to N times (default: 2)\n  \
     --resume          resume an interrupted sweep from its journal (the result\n                    \
-store's write-ahead log, or results/manifest.json when\n                    \
-running uncached)\n  \
+store's write-ahead log; not with --no-cache)\n  \
     --strict-resume   fail (exit 1) if a resumed cell's timeline digest diverges\n                    \
     from the journaled one, instead of warning\n  \
     --trace PATH      write a chrome://tracing (Perfetto) JSON trace to PATH";
@@ -123,6 +124,13 @@ impl CliArgs {
                 "--trace" => out.trace = Some(PathBuf::from(value("a file path")?)),
                 _ => out.rest.push(arg),
             }
+        }
+        if out.resume && out.no_cache {
+            return Err(
+                "--resume reads the journal in the result store, which --no-cache \
+                        turns off; drop one of the two flags"
+                    .to_string(),
+            );
         }
         Ok(out)
     }
@@ -222,5 +230,10 @@ mod tests {
         assert!(CliArgs::parse(["--jobs".to_string(), "0".to_string()]).is_err());
         assert!(CliArgs::parse(["--timeout-secs".to_string(), "-1".to_string()]).is_err());
         assert!(CliArgs::parse(["--filter".to_string()]).is_err());
+        let err = CliArgs::parse(["--no-cache".to_string(), "--resume".to_string()]).unwrap_err();
+        assert!(
+            err.contains("--resume") && err.contains("--no-cache"),
+            "{err}"
+        );
     }
 }

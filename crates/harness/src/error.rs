@@ -26,22 +26,6 @@ pub enum HarnessError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// A cache entry was present but not usable.
-    CorruptCache {
-        /// The entry's path.
-        path: PathBuf,
-        /// Why it was rejected.
-        reason: String,
-    },
-    /// A journal line was present but not parseable.
-    CorruptJournal {
-        /// The journal's path.
-        path: PathBuf,
-        /// 1-based line number.
-        line: usize,
-        /// Why it was rejected.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for HarnessError {
@@ -49,16 +33,6 @@ impl std::fmt::Display for HarnessError {
         match self {
             HarnessError::Io { op, path, source } => {
                 write!(f, "{op} at {}: {source}", path.display())
-            }
-            HarnessError::CorruptCache { path, reason } => {
-                write!(f, "corrupt cache entry {}: {reason}", path.display())
-            }
-            HarnessError::CorruptJournal { path, line, reason } => {
-                write!(
-                    f,
-                    "corrupt journal {} line {line}: {reason}",
-                    path.display()
-                )
             }
         }
     }
@@ -68,7 +42,6 @@ impl std::error::Error for HarnessError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             HarnessError::Io { source, .. } => Some(source),
-            _ => None,
         }
     }
 }
@@ -124,11 +97,5 @@ mod tests {
         );
         let text = e.to_string();
         assert!(text.contains("create cache dir") && text.contains("/tmp/x"));
-        let c = HarnessError::CorruptJournal {
-            path: "/tmp/j".into(),
-            line: 3,
-            reason: "truncated".into(),
-        };
-        assert!(c.to_string().contains("line 3"));
     }
 }

@@ -48,12 +48,12 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use scu_store::{JournalRecord, LsmStore};
 use serde_json::Value;
 
 use crate::cache::ResultCache;
 use crate::error::lock_unpoisoned;
 use crate::job::{Attempt, Job, JobGraph, JobId, Outcome};
-use crate::journal::{Journal, JournalEntry};
 use crate::progress::Progress;
 
 /// Executor knobs.
@@ -103,10 +103,11 @@ pub fn capped_backoff(base: Duration, cap: Duration, prior_attempts: usize) -> D
 pub struct ExecContext<'a> {
     /// Content-addressed result cache, if caching is on.
     pub cache: Option<&'a ResultCache>,
-    /// Journal receiving each completion, if journaling is on.
-    pub journal: Option<&'a Journal>,
+    /// Store whose write-ahead log journals each completion, if
+    /// journaling is on.
+    pub journal: Option<&'a LsmStore>,
     /// Journaled completions from an interrupted sweep, keyed by
-    /// [`JournalEntry::resume_key`].
+    /// [`JournalRecord::resume_key`].
     pub resume: Option<&'a HashMap<String, Value>>,
     /// Timeline digests from the interrupted sweep's journal, keyed by
     /// job id. A cell that *re-runs* during a resumed sweep (its cache
@@ -307,7 +308,7 @@ fn run_one(job: &Job, ctx: &ExecContext<'_>, opts: &ExecOptions, sched: &Schedul
     }
     let start = Instant::now();
     if let Some(resume) = ctx.resume {
-        let rk = JournalEntry::resume_key(job.cache_key.as_ref(), &job.id);
+        let rk = JournalRecord::resume_key(job.cache_key.as_ref(), &job.id);
         if let Some(value) = resume.get(&rk) {
             return Outcome::Done {
                 value: value.clone(),
@@ -377,13 +378,13 @@ fn journal_done(ctx: &ExecContext<'_>, job: &Job, outcome: &Outcome) {
     let (Some(journal), Outcome::Done { value, .. }) = (ctx.journal, outcome) else {
         return;
     };
-    let entry = JournalEntry {
+    let record = JournalRecord {
         key: job.cache_key.clone(),
         id: job.id.clone(),
         value: value.clone(),
         digest: timeline_digest(value),
     };
-    if let Err(e) = journal.append(&entry) {
+    if let Err(e) = journal.journal_append(&record) {
         // A short journal only costs recomputation on resume.
         eprintln!("[scu-harness] journal append failed for '{}': {e}", job.id);
     }
@@ -762,7 +763,7 @@ mod tests {
         );
         let mut resume = HashMap::new();
         resume.insert(
-            JournalEntry::resume_key(Some(&key), "resumable"),
+            JournalRecord::resume_key(Some(&key), "resumable"),
             Value::U64(99),
         );
         let ctx = ExecContext {
@@ -886,20 +887,22 @@ mod tests {
     fn journal_records_completions_as_they_happen() {
         let dir = std::env::temp_dir().join(format!("scu-harness-exec-jnl-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("manifest.json");
-        let journal = Journal::open(&path, true).unwrap();
+        let store = LsmStore::open(&dir).unwrap();
+        store.begin_sweep(false).unwrap();
         let mut g = JobGraph::new();
         g.push(Job::new("ok", || Value::U64(5)).with_cache_key(Value::U64(1)));
         g.push(Job::new("bad", || panic!("no journal entry for me")));
         let ctx = ExecContext {
-            journal: Some(&journal),
+            journal: Some(&store),
             ..ExecContext::default()
         };
         execute(&g, &ctx, &ExecOptions::default(), &silent());
-        let entries = Journal::load(&path).unwrap();
-        assert_eq!(entries.len(), 1, "only completions are journaled");
-        assert_eq!(entries[0].id, "ok");
-        assert_eq!(entries[0].value, Value::U64(5));
+        let values = store.resume_state().unwrap().values;
+        assert_eq!(values.len(), 1, "only completions are journaled");
+        assert_eq!(
+            values.get(&JournalRecord::resume_key(Some(&Value::U64(1)), "ok")),
+            Some(&Value::U64(5))
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

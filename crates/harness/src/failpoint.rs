@@ -47,9 +47,9 @@
 //! |----------------------|-----------------------------------|-----------------|
 //! | `cell-run`           | `scu_algos::cell::Cell::run`      | panic, delay, error (as panic) |
 //! | `graph-build`        | `scu_algos::cell::shared_graph`   | panic, delay    |
-//! | `cache-load`         | `ResultStore::get` (both backends)| io-error, delay |
-//! | `cache-store`        | `ResultStore::put` (both backends)| io-error, delay |
-//! | `journal-append`     | `ResultStore::journal_append` / `Journal::append` | io-error, delay |
+//! | `cache-load`         | `LsmStore::get`                   | io-error, delay |
+//! | `cache-store`        | `LsmStore::put`                   | io-error, delay |
+//! | `journal-append`     | `LsmStore::journal_append`        | io-error, delay |
 //! | `wal-append`         | `scu_store::wal::Wal::append`     | io-error, delay |
 //! | `segment-flush`      | `scu_store::lsm` memtable flush   | io-error, delay |
 //! | `compact`            | `scu_store::lsm` compaction pass  | io-error, delay |

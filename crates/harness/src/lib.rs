@@ -8,10 +8,11 @@
 //! - **Determinism** — each cell is a pure closure owning its
 //!   configuration; outcomes are returned in submission order, so a
 //!   run with `--jobs 16` is byte-identical to `--jobs 1`.
-//! - **Content-addressed caching** — results are JSON blobs keyed by
-//!   a stable hash of the cell configuration plus a model-version
-//!   string; after a code tweak that bumps the version, only
-//!   invalidated cells recompute ([`cache::ResultCache`]).
+//! - **Content-addressed caching** — results are stored keyed by the
+//!   canonical cell configuration plus a model-version string; after a
+//!   code tweak that bumps the version, only invalidated cells
+//!   recompute ([`cache::ResultCache`]). The store's write-ahead log
+//!   doubles as the crash-resume journal.
 //! - **Fault isolation** — a panicking cell is caught and reported
 //!   `FAILED`, a cell over its wall-clock budget `TIMED-OUT`, and
 //!   dependents of either are `skipped`; the sweep always completes
@@ -42,23 +43,19 @@ pub mod cli;
 pub mod error;
 pub mod executor;
 pub mod failpoint;
-pub mod hash;
 pub mod job;
-pub mod journal;
 pub mod progress;
 pub mod session;
 
-pub use cache::{GetResult, ResultCache, ResultCacheStats, ResultStore, StoreStats};
+pub use cache::{GetResult, LsmStore, ResultCache, ResultCacheStats, StoreStats};
 pub use cli::CliArgs;
 pub use error::HarnessError;
 pub use executor::{
     capped_backoff, default_jobs, effective_workers, ExecContext, ExecOptions, ExecResult,
 };
 pub use job::{Attempt, Job, JobGraph, JobId, Outcome};
-pub use journal::{Journal, JournalEntry};
 pub use progress::{Progress, ProgressEvent, ProgressObserver, SweepSummary};
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,7 +76,7 @@ pub struct Sweep {
 pub struct Harness {
     jobs: usize,
     cache_dir: Option<PathBuf>,
-    store_backend: Option<Arc<dyn ResultStore>>,
+    store_backend: Option<Arc<LsmStore>>,
     timeout: Option<Duration>,
     narrate: bool,
     progress_file: Option<PathBuf>,
@@ -87,7 +84,6 @@ pub struct Harness {
     retries: u32,
     backoff: Duration,
     backoff_cap: Duration,
-    manifest: Option<PathBuf>,
     resume: bool,
     strict_resume: bool,
     handle_sigint: bool,
@@ -105,7 +101,6 @@ impl std::fmt::Debug for Harness {
             .field("progress_file", &self.progress_file)
             .field("observer", &self.observer.is_some())
             .field("retries", &self.retries)
-            .field("manifest", &self.manifest)
             .field("resume", &self.resume)
             .field("strict_resume", &self.strict_resume)
             .field("handle_sigint", &self.handle_sigint)
@@ -127,7 +122,6 @@ impl Default for Harness {
             retries: 0,
             backoff: Duration::from_millis(100),
             backoff_cap: Duration::from_secs(2),
-            manifest: None,
             resume: false,
             strict_resume: false,
             handle_sigint: false,
@@ -149,7 +143,8 @@ impl Harness {
         self
     }
 
-    /// Enables the on-disk result cache rooted at `dir`.
+    /// Enables the on-disk result store rooted at `dir`: the result
+    /// cache, and the journal that lets an interrupted sweep resume.
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         self
@@ -161,7 +156,7 @@ impl Harness {
     /// — the LSM layout is single-writer per directory, so two
     /// independent opens of the same directory must not happen.
     /// Takes precedence over `cache_dir`.
-    pub fn store_backend(mut self, backend: Arc<dyn ResultStore>) -> Self {
+    pub fn store_backend(mut self, backend: Arc<LsmStore>) -> Self {
         self.store_backend = Some(backend);
         self
     }
@@ -217,15 +212,9 @@ impl Harness {
         self
     }
 
-    /// Journals each completion to `path` (e.g.
-    /// `results/manifest.json`) so an interrupted sweep can resume.
-    pub fn manifest(mut self, path: impl Into<PathBuf>) -> Self {
-        self.manifest = Some(path.into());
-        self
-    }
-
     /// Pre-resolves jobs already journaled by an interrupted sweep
-    /// instead of truncating the manifest. Needs [`Harness::manifest`].
+    /// instead of starting a fresh journal. Needs a mounted store
+    /// ([`Harness::cache_dir`] or [`Harness::store_backend`]).
     pub fn resume(mut self, resume: bool) -> Self {
         self.resume = resume;
         self
@@ -240,7 +229,7 @@ impl Harness {
     }
 
     /// Installs a SIGINT handler for the run: the first Ctrl-C drains
-    /// in-flight cells and writes the manifest, the second kills.
+    /// in-flight cells into the journal, the second kills.
     pub fn handle_sigint(mut self, handle: bool) -> Self {
         self.handle_sigint = handle;
         self
@@ -263,8 +252,8 @@ impl Harness {
     /// Runs the graph to completion (or to a drained cancellation).
     ///
     /// Every harness-side failure degrades rather than kills the
-    /// sweep: an unusable cache runs uncached, an unusable manifest
-    /// runs unjournaled, an unreadable resume journal resumes nothing.
+    /// sweep: an unusable store runs uncached and unjournaled, an
+    /// unreadable resume journal resumes nothing.
     pub fn run(&self, graph: &JobGraph) -> Sweep {
         if self.handle_sigint {
             cancel::install_sigint_handler();
@@ -285,108 +274,38 @@ impl Harness {
                     }
                 }),
         };
-        // With an LSM-backed cache the store's write-ahead log *is* the
-        // journal: each finished cell is one CRC-framed append, and
-        // resume state is replayed from the same bytes as the cache.
-        // The line-JSON manifest file remains the journal for legacy
-        // and uncached runs, byte-for-byte as before.
-        let unified = self.manifest.is_some()
-            && cache
-                .as_ref()
-                .is_some_and(|c| c.backend().unified_journal());
-        let mut resume_digests = None;
-        let resume_map = if !self.resume {
-            None
-        } else if unified {
-            let backend = cache.as_ref().expect("unified implies a cache").backend();
-            match backend.resume_state() {
+        // The store's write-ahead log is the journal: each finished
+        // cell is one CRC-framed append, and resume state is replayed
+        // from the same bytes as the cache.
+        let store = cache.as_ref().map(ResultCache::backend);
+        let (resume_map, resume_digests) = match (&store, self.resume) {
+            (Some(store), true) => match store.resume_state() {
                 Ok(state) => {
-                    // A leftover line-JSON manifest (sweeps from before
-                    // the store migration) still feeds resume; the
-                    // store wins where both journaled a cell.
-                    let (mut map, mut digests) = match self.manifest.as_deref() {
-                        Some(path) if path.exists() => (
-                            Journal::load_resume_map(path).unwrap_or_default(),
-                            Journal::load_digest_map(path).unwrap_or_default(),
-                        ),
-                        _ => (HashMap::new(), HashMap::new()),
-                    };
-                    map.extend(state.values);
-                    digests.extend(state.digests);
-                    if !map.is_empty() {
+                    if !state.values.is_empty() {
                         eprintln!(
                             "[scu-harness] resuming: {} cell(s) already journaled in {}",
-                            map.len(),
-                            backend.dir().display()
+                            state.values.len(),
+                            store.dir().display()
                         );
                     }
-                    resume_digests = Some(digests);
-                    Some(map)
+                    (Some(state.values), Some(state.digests))
                 }
                 Err(e) => {
                     eprintln!("[scu-harness] cannot resume: {e}; starting fresh");
-                    None
+                    (None, None)
                 }
-            }
-        } else {
-            match self.manifest.as_ref() {
-                Some(path) => match Journal::load_resume_map(path) {
-                    Ok(map) => {
-                        if !map.is_empty() {
-                            eprintln!(
-                                "[scu-harness] resuming: {} cell(s) already journaled in {}",
-                                map.len(),
-                                path.display()
-                            );
-                        }
-                        // Digests cross-check re-run cells against what
-                        // the interrupted sweep observed (warn, or fail
-                        // under strict_resume).
-                        resume_digests = Journal::load_digest_map(path).ok();
-                        Some(map)
-                    }
-                    Err(e) => {
-                        eprintln!("[scu-harness] cannot resume: {e}; starting fresh");
-                        None
-                    }
-                },
-                None => None,
-            }
+            },
+            _ => (None, None),
         };
-        // A fresh (non-resumed) sweep truncates any stale journal so
-        // it only ever describes this sweep's completions: the store
-        // does this logically (a new epoch), the file journal
-        // physically.
-        let journal = if unified {
-            let backend = cache.as_ref().expect("unified implies a cache").backend();
-            match backend.begin_sweep(self.resume) {
-                Ok(()) => {
-                    if !self.resume {
-                        if let Some(path) = self.manifest.as_deref().filter(|p| p.exists()) {
-                            // Also empty any leftover pre-migration
-                            // manifest so its stale entries cannot feed
-                            // a later resume.
-                            let _ = Journal::open(path, true);
-                        }
-                    }
-                    Some(Journal::from_store(backend))
-                }
-                Err(e) => {
-                    eprintln!("[scu-harness] cannot open manifest: {e}; running unjournaled");
-                    None
-                }
+        // A fresh (non-resumed) sweep starts a new epoch, so the
+        // journal only ever describes this sweep's completions.
+        let journal = store.filter(|store| match store.begin_sweep(self.resume) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!("[scu-harness] cannot start the journal: {e}; running unjournaled");
+                false
             }
-        } else {
-            self.manifest
-                .as_ref()
-                .and_then(|path| match Journal::open(path, !self.resume) {
-                    Ok(j) => Some(j),
-                    Err(e) => {
-                        eprintln!("[scu-harness] cannot open manifest: {e}; running unjournaled");
-                        None
-                    }
-                })
-        };
+        });
         let mut progress = if self.narrate {
             Progress::stderr(graph.len())
         } else {
@@ -421,7 +340,7 @@ impl Harness {
         };
         let ctx = ExecContext {
             cache: cache.as_ref(),
-            journal: journal.as_ref(),
+            journal: journal.as_deref(),
             resume: resume_map.as_ref(),
             resume_digests: resume_digests.as_ref(),
             cancel: match (&self.cancel_flag, self.handle_sigint) {
@@ -524,19 +443,18 @@ mod tests {
     #[test]
     fn manifest_then_resume_serves_journaled_cells() {
         let dir = scratch("resume");
-        let manifest = dir.join("manifest.json");
-        let first = Harness::new()
-            .jobs(2)
-            .manifest(&manifest)
-            .run(&cell_graph());
+        let first = Harness::new().jobs(2).cache_dir(&dir).run(&cell_graph());
         assert!(first.summary.all_done());
-        assert_eq!(journal::Journal::load(&manifest).unwrap().len(), 6);
         let resumed = Harness::new()
             .jobs(2)
-            .manifest(&manifest)
+            .cache_dir(&dir)
             .resume(true)
             .run(&cell_graph());
         assert!(resumed.summary.fully_cached(), "all cells pre-resolved");
+        assert_eq!(
+            resumed.cache_stats.hits, 0,
+            "served by the journal, not the cache"
+        );
         let values = |s: &Sweep| -> Vec<Value> {
             s.outcomes
                 .iter()
@@ -550,122 +468,12 @@ mod tests {
     #[test]
     fn fresh_sweep_truncates_stale_manifest() {
         let dir = scratch("truncate");
-        let manifest = dir.join("manifest.json");
-        Harness::new().manifest(&manifest).run(&cell_graph());
+        Harness::new().cache_dir(&dir).run(&cell_graph());
         let mut g = JobGraph::new();
         g.push(Job::new("only", || Value::U64(1)));
-        Harness::new().manifest(&manifest).run(&g);
-        assert_eq!(journal::Journal::load(&manifest).unwrap().len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lsm_cache_unifies_the_journal_and_resumes_without_recompute() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        use std::sync::Arc;
-        let dir = scratch("unified");
-        let cache_dir = dir.join("cache");
-        let manifest = dir.join("manifest.json");
-        let runs = Arc::new(AtomicU32::new(0));
-        let counted_graph = |runs: &Arc<AtomicU32>| -> JobGraph {
-            let mut g = JobGraph::new();
-            for i in 0..6u64 {
-                let key = Value::Object(vec![
-                    ("cell".to_string(), Value::U64(i)),
-                    ("model".to_string(), Value::Str("v1".into())),
-                ]);
-                let r = Arc::clone(runs);
-                g.push(
-                    Job::new(format!("cell-{i}"), move || {
-                        r.fetch_add(1, Ordering::SeqCst);
-                        Value::U64(i + 100)
-                    })
-                    .with_cache_key(key),
-                );
-            }
-            g
-        };
-        let first = Harness::new()
-            .jobs(2)
-            .cache_dir(&cache_dir)
-            .manifest(&manifest)
-            .run(&counted_graph(&runs));
-        assert!(first.summary.all_done());
-        assert_eq!(runs.load(Ordering::SeqCst), 6);
-        assert!(
-            !manifest.exists(),
-            "the store's WAL is the journal; no manifest file is written"
-        );
-        assert!(cache_dir.join("CURRENT").exists(), "LSM layout in place");
-        let resumed = Harness::new()
-            .jobs(2)
-            .cache_dir(&cache_dir)
-            .manifest(&manifest)
-            .resume(true)
-            .run(&counted_graph(&runs));
-        assert!(resumed.summary.fully_cached(), "all cells pre-resolved");
-        assert_eq!(runs.load(Ordering::SeqCst), 6, "resume recomputed nothing");
-        let values = |s: &Sweep| -> Vec<Value> {
-            s.outcomes
-                .iter()
-                .map(|o| o.value().unwrap().clone())
-                .collect()
-        };
-        assert_eq!(values(&first), values(&resumed));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unified_resume_merges_a_leftover_legacy_manifest() {
-        let dir = scratch("unified-merge");
-        let cache_dir = dir.join("cache");
-        let manifest = dir.join("manifest.json");
-        // A pre-migration sweep left a line-JSON manifest behind.
-        let j = Journal::open(&manifest, true).unwrap();
-        j.append(&JournalEntry {
-            key: Some(Value::Object(vec![
-                ("cell".to_string(), Value::U64(0)),
-                ("model".to_string(), Value::Str("v1".into())),
-            ])),
-            id: "cell-0".into(),
-            value: Value::U64(100),
-            digest: None,
-        })
-        .unwrap();
-        drop(j);
-        let mut g = JobGraph::new();
-        let key = Value::Object(vec![
-            ("cell".to_string(), Value::U64(0)),
-            ("model".to_string(), Value::Str("v1".into())),
-        ]);
-        g.push(
-            Job::new("cell-0", || panic!("must be served from the journal")).with_cache_key(key),
-        );
-        let sweep = Harness::new()
-            .cache_dir(&cache_dir)
-            .manifest(&manifest)
-            .resume(true)
-            .run(&g);
-        assert!(sweep.summary.all_done());
-        assert_eq!(sweep.outcomes[0].value(), Some(&Value::U64(100)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unified_fresh_sweep_empties_a_leftover_manifest() {
-        let dir = scratch("unified-truncate");
-        let cache_dir = dir.join("cache");
-        let manifest = dir.join("manifest.json");
-        Harness::new().manifest(&manifest).run(&cell_graph());
-        assert_eq!(Journal::load(&manifest).unwrap().len(), 6);
-        Harness::new()
-            .cache_dir(&cache_dir)
-            .manifest(&manifest)
-            .run(&cell_graph());
-        assert!(
-            Journal::load(&manifest).unwrap().is_empty(),
-            "stale pre-migration entries cannot feed a later resume"
-        );
+        Harness::new().cache_dir(&dir).run(&g);
+        let state = LsmStore::open(&dir).unwrap().resume_state().unwrap();
+        assert_eq!(state.values.len(), 1, "only the fresh sweep resumes");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

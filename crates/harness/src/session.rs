@@ -2,20 +2,17 @@
 //!
 //! `reproduce_all`, `export_json` and the sweep server (`scu_serve`)
 //! all need the same glue around a [`Harness`]: reject leftover CLI
-//! arguments with usage, cache under `results/cache`, journal to
-//! `results/manifest.json`, drain on SIGINT, and translate the sweep
-//! summary into the conventional exit code. This module is that glue,
-//! written once.
+//! arguments with usage, cache and journal under `results/cache`, drain
+//! on SIGINT, and translate the sweep summary into the conventional
+//! exit code. This module is that glue, written once.
 
 use crate::cli::{CliArgs, USAGE};
 use crate::progress::SweepSummary;
 use crate::Harness;
 
-/// Where sweep binaries cache completed cells.
+/// Where sweep binaries cache completed cells and journal them for
+/// `--resume`.
 pub const DEFAULT_CACHE_DIR: &str = "results/cache";
-
-/// Where sweep binaries journal completions for `--resume`.
-pub const DEFAULT_MANIFEST: &str = "results/manifest.json";
 
 /// Where sweep binaries keep build-once mmap'd graph artifacts.
 /// The harness only names the directory (it cannot mount the store —
@@ -34,12 +31,11 @@ pub fn reject_unparsed_args(args: &CliArgs) {
 }
 
 /// The standard sweep harness: shared CLI flags applied over the
-/// default cache dir, completions journaled to the default manifest,
-/// SIGINT draining installed.
+/// default cache dir (which also journals completions), SIGINT
+/// draining installed.
 pub fn standard_harness(args: &CliArgs) -> Harness {
     Harness::new()
         .apply_cli(args, DEFAULT_CACHE_DIR)
-        .manifest(DEFAULT_MANIFEST)
         .handle_sigint(true)
 }
 

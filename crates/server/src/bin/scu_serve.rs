@@ -9,7 +9,8 @@
 //! scripts can scrape it. The shared harness flags (`--jobs`,
 //! `--no-cache`, `--retries`) configure the batch
 //! harness; `SCU_SCALE`/`SCU_SEED` configure the served matrix exactly
-//! like the CLI sweeps.
+//! like the CLI sweeps. `--no-cache` serves without the result store,
+//! so the daemon neither dedups by cache nor restarts warm.
 //!
 //! Hardening knobs: `--max-pending N` caps queued cells (excess sweeps
 //! get `429 Retry-After`), `--max-conns N` caps connections waiting
@@ -35,7 +36,8 @@ const USAGE: &str = "scu_serve options:\n  \
     --max-retained N  cap on finished sweeps kept queryable in memory\n  \
     --request-deadline SECS\n                    \
     wall-clock budget for reading one request (slowloris cutoff)\n\
-plus the shared harness flags (--jobs, --no-cache, --retries)";
+plus the shared harness flags (--jobs, --no-cache, --retries); --no-cache\n\
+also disables warm restarts";
 
 fn main() {
     let args = CliArgs::from_env();

@@ -54,10 +54,10 @@ pub struct SchedulerConfig {
     pub jobs: usize,
     /// Retries for failed cells.
     pub retries: u32,
-    /// On-disk result cache; `None` disables dedup-by-cache.
+    /// On-disk result store, which caches results and journals
+    /// completions; `None` disables both dedup-by-cache and warm
+    /// restarts.
     pub cache_dir: Option<PathBuf>,
-    /// Completion journal; `None` disables warm restarts.
-    pub manifest: Option<PathBuf>,
     /// Admission cap: submissions are rejected (HTTP 429) while this
     /// many cells are already queued for the dispatcher. The running
     /// batch does not count — only the backlog behind it.
@@ -82,7 +82,6 @@ impl SchedulerConfig {
             retries: args.retries,
             cache_dir: (!args.no_cache)
                 .then(|| PathBuf::from(scu_harness::session::DEFAULT_CACHE_DIR)),
-            manifest: Some(PathBuf::from(scu_harness::session::DEFAULT_MANIFEST)),
             max_pending_cells: DEFAULT_MAX_PENDING_CELLS,
             max_retained_sweeps: DEFAULT_MAX_RETAINED_SWEEPS,
         }
@@ -903,11 +902,9 @@ impl Scheduler {
                 }
             }
         }
-        if let Some(manifest) = &self.cfg.manifest {
-            // Always resume: the journal accumulates across batches and
-            // daemon restarts, so completed cells never recompute.
-            harness = harness.manifest(manifest.clone()).resume(true);
-        }
+        // Always resume: the journal accumulates across batches and
+        // daemon restarts, so completed cells never recompute.
+        harness = harness.resume(true);
         let sweep = harness.run(&graph);
         for (cell_id, outcome) in batch.iter().zip(&sweep.outcomes) {
             let resolved = match outcome {
@@ -1018,10 +1015,7 @@ impl Scheduler {
                 "quarantined_total".to_string(),
                 Value::U64(cache_stats.quarantined_total),
             ),
-            (
-                "store_backend".to_string(),
-                Value::Str(store_stats.backend.to_string()),
-            ),
+            ("store_backend".to_string(), Value::Str("lsm".to_string())),
             (
                 "wal_appends".to_string(),
                 Value::U64(store_stats.wal_appends),

@@ -47,7 +47,6 @@ fn config(dir: &Path) -> SchedulerConfig {
         jobs: 1,
         retries: 0,
         cache_dir: Some(dir.join("cache")),
-        manifest: Some(dir.join("manifest.json")),
         max_pending_cells: DEFAULT_MAX_PENDING_CELLS,
         max_retained_sweeps: scu_server::DEFAULT_MAX_RETAINED_SWEEPS,
     }

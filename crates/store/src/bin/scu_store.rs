@@ -1,26 +1,21 @@
-//! `scu_store` — inspect and migrate result-store directories.
+//! `scu_store` — inspect a result-store directory.
 //!
 //! ```text
-//! scu_store migrate --from DIR --to DIR [--manifest FILE]
 //! scu_store stat DIR
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use scu_store::{migrate, open_dir};
+use scu_store::LsmStore;
 
 const USAGE: &str = "usage:
-  scu_store migrate --from DIR --to DIR [--manifest FILE]
-      convert a legacy per-file cache (and optionally its line
-      journal) into an LSM store; the source is never modified
   scu_store stat DIR
-      show which backend a directory holds and its counters";
+      show a store directory's counters and resumable cells";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("migrate") => run_migrate(&args[1..]),
         Some("stat") => run_stat(&args[1..]),
         Some("--help" | "-h") | None => {
             println!("{USAGE}");
@@ -33,73 +28,19 @@ fn main() -> ExitCode {
     }
 }
 
-fn run_migrate(args: &[String]) -> ExitCode {
-    let mut from = None;
-    let mut to = None;
-    let mut manifest = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |slot: &mut Option<PathBuf>| match it.next() {
-            Some(v) => {
-                *slot = Some(PathBuf::from(v));
-                true
-            }
-            None => false,
-        };
-        let ok = match arg.as_str() {
-            "--from" => take(&mut from),
-            "--to" => take(&mut to),
-            "--manifest" => take(&mut manifest),
-            other => {
-                eprintln!("scu_store migrate: unexpected argument '{other}'\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        };
-        if !ok {
-            eprintln!("scu_store migrate: {arg} needs a value\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    }
-    let (Some(from), Some(to)) = (from, to) else {
-        eprintln!("scu_store migrate: --from and --to are required\n{USAGE}");
-        return ExitCode::from(2);
-    };
-    match migrate::migrate(&from, &to, manifest.as_deref()) {
-        Ok(report) => {
-            println!(
-                "migrated {} entries ({} journaled, {} skipped) from {} to {}",
-                report.entries,
-                report.journaled,
-                report.skipped,
-                from.display(),
-                to.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("scu_store migrate: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn run_stat(args: &[String]) -> ExitCode {
     let [dir] = args else {
         eprintln!("scu_store stat: exactly one directory expected\n{USAGE}");
         return ExitCode::from(2);
     };
     let dir = PathBuf::from(dir);
-    match open_dir(&dir, None) {
+    match LsmStore::open(&dir) {
         Ok(store) => {
             let stats = store.stats();
             println!("dir:                  {}", dir.display());
-            println!("backend:              {}", stats.backend);
-            println!("unified journal:      {}", store.unified_journal());
             println!("quarantined (kept):   {}", stats.quarantined_total);
-            if stats.backend == "lsm" {
-                println!("recovered records:    {}", stats.recovered_records);
-                println!("truncated tail bytes: {}", stats.truncated_tail_bytes);
-            }
+            println!("recovered records:    {}", stats.recovered_records);
+            println!("truncated tail bytes: {}", stats.truncated_tail_bytes);
             match store.resume_state() {
                 Ok(state) => println!("resumable cells:      {}", state.values.len()),
                 Err(e) => println!("resumable cells:      unreadable ({e})"),

@@ -9,10 +9,6 @@
 //! but keys come from our own configuration space, and every read
 //! verifies the stored resume key against the requested one, so a
 //! collision degrades to a miss, never to a wrong result.
-//!
-//! This is the same function `scu-harness` has always used for cache
-//! blob filenames (it now re-exports this module), so digests printed
-//! in old logs still correspond.
 
 /// 64-bit FNV-1a with a caller-chosen offset basis.
 fn fnv1a(bytes: &[u8], basis: u64) -> u64 {

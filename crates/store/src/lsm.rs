@@ -44,7 +44,7 @@ use crate::quarantine;
 use crate::record::{JournalRecord, Record, RecordKind};
 use crate::segment::Segment;
 use crate::wal::Wal;
-use crate::{GetResult, ResultStore, ResumeState, StoreStats};
+use crate::{GetResult, ResumeState, StoreStats};
 
 /// Tuning knobs; the defaults suit sweep workloads.
 #[derive(Debug, Clone)]
@@ -142,7 +142,23 @@ struct Shared {
     compacting: AtomicBool,
 }
 
-/// The LSM-lite store handle.
+/// The result store: result cache and sweep journal in one directory.
+///
+/// A handle is internally synchronised — one instance is shared across
+/// worker threads (and, in the server, across batches). The contract
+/// the harness and server rely on:
+///
+/// - [`LsmStore::get`] never returns bytes that failed verification;
+///   corruption is quarantined (kept for post-mortem, bounded by a
+///   cap) and surfaces as [`GetResult::Corrupt`], which callers treat
+///   as a miss.
+/// - [`LsmStore::put`] is atomic: a reader sees the old entry or the
+///   new one, never a torn write.
+/// - [`LsmStore::journal_append`] makes a completed cell durable for
+///   resume; after a crash, [`LsmStore::resume_state`] returns every
+///   cell journaled in the current sweep and nothing from older
+///   sweeps.
+/// - A store directory has a single writing process at a time.
 #[derive(Debug)]
 pub struct LsmStore {
     shared: Arc<Shared>,
@@ -266,9 +282,8 @@ impl LsmStore {
             mem.entry(rec.addr()).or_default().absorb(rec);
         }
         // Persist the manifest when it changed — and always on first
-        // open, so the directory self-identifies as an LSM store (the
-        // `CURRENT` file is what `open_dir` auto-detection keys on)
-        // even before the first flush writes a segment.
+        // open, so the directory self-identifies as a store even
+        // before the first flush writes a segment.
         if manifest_changed || !current.exists() {
             manifest.store(&current)?;
         }
@@ -594,24 +609,19 @@ impl Drop for LsmStore {
     }
 }
 
-impl ResultStore for LsmStore {
-    fn dir(&self) -> &Path {
+impl LsmStore {
+    /// The directory this store lives in.
+    pub fn dir(&self) -> &Path {
         &self.shared.dir
     }
 
-    fn quarantine_dir(&self) -> PathBuf {
+    /// Where corrupt entries are kept for post-mortem.
+    pub fn quarantine_dir(&self) -> PathBuf {
         self.shared.dir.join("quarantine")
     }
 
-    fn backend_name(&self) -> &'static str {
-        "lsm"
-    }
-
-    fn unified_journal(&self) -> bool {
-        true
-    }
-
-    fn get(&self, key: &Value) -> GetResult {
+    /// Looks up the value stored for `key`.
+    pub fn get(&self, key: &Value) -> GetResult {
         let shared = &self.shared;
         if failpoints::io("cache-load").is_err() {
             shared.counters.misses.fetch_add(1, Ordering::Relaxed);
@@ -661,7 +671,13 @@ impl ResultStore for LsmStore {
         }
     }
 
-    fn put(&self, key: &Value, value: &Value) -> io::Result<()> {
+    /// Stores `value` under `key`.
+    ///
+    /// # Errors
+    ///
+    /// Returns IO failures (including injected ones); callers degrade
+    /// to running uncached.
+    pub fn put(&self, key: &Value, value: &Value) -> io::Result<()> {
         failpoints::io("cache-store")?;
         let shared = &self.shared;
         let rk = JournalRecord::resume_key(Some(key), "");
@@ -700,7 +716,14 @@ impl ResultStore for LsmStore {
         Ok(())
     }
 
-    fn journal_append(&self, rec: &JournalRecord) -> io::Result<()> {
+    /// Journals a completed cell for crash-resume: a `Put` when its
+    /// value is not on disk yet, else a value-less `Mark`.
+    ///
+    /// # Errors
+    ///
+    /// Returns IO failures; callers degrade (the sweep continues, the
+    /// journal is just shorter).
+    pub fn journal_append(&self, rec: &JournalRecord) -> io::Result<()> {
         failpoints::io("journal-append")?;
         let shared = &self.shared;
         let rk = JournalRecord::resume_key(rec.key.as_ref(), &rec.id);
@@ -769,7 +792,15 @@ impl ResultStore for LsmStore {
         Ok(())
     }
 
-    fn begin_sweep(&self, resume: bool) -> io::Result<()> {
+    /// Marks a sweep boundary. `resume = false` starts a fresh sweep —
+    /// prior completions no longer count for resume (though cached
+    /// values remain readable); `resume = true` continues the
+    /// interrupted sweep.
+    ///
+    /// # Errors
+    ///
+    /// Returns IO failures from recording the boundary.
+    pub fn begin_sweep(&self, resume: bool) -> io::Result<()> {
         if resume {
             // Resuming continues the interrupted sweep's epoch.
             return Ok(());
@@ -782,7 +813,12 @@ impl ResultStore for LsmStore {
         Ok(())
     }
 
-    fn resume_state(&self) -> io::Result<ResumeState> {
+    /// Every completion journaled in the current sweep.
+    ///
+    /// # Errors
+    ///
+    /// Returns IO failures from reading the journal.
+    pub fn resume_state(&self) -> io::Result<ResumeState> {
         let shared = &self.shared;
         let current = shared.epoch.load(Ordering::Relaxed);
         let mut merged: HashMap<u128, MemRec> = HashMap::new();
@@ -835,7 +871,8 @@ impl ResultStore for LsmStore {
         Ok(state)
     }
 
-    fn stats(&self) -> StoreStats {
+    /// Current counters.
+    pub fn stats(&self) -> StoreStats {
         let c = &self.shared.counters;
         StoreStats {
             hits: c.hits.load(Ordering::Relaxed),
@@ -848,11 +885,16 @@ impl ResultStore for LsmStore {
             compactions: c.compactions.load(Ordering::Relaxed),
             recovered_records: c.recovered_records.load(Ordering::Relaxed),
             truncated_tail_bytes: c.truncated_tail_bytes.load(Ordering::Relaxed),
-            backend: self.backend_name(),
         }
     }
 
-    fn flush(&self) -> io::Result<()> {
+    /// Flushes the memtable into a segment, making buffered state
+    /// durable outside the WAL.
+    ///
+    /// # Errors
+    ///
+    /// Returns IO failures from the flush.
+    pub fn flush(&self) -> io::Result<()> {
         self.do_flush()
     }
 }
@@ -1226,6 +1268,41 @@ mod tests {
         }
         assert_eq!(store.stats().quarantined_total, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pre_lsm_blob_directories_open_empty_and_stay_untouched() {
+        // The retired per-file layout: one `<digest>.json` blob per
+        // entry, and a line-JSON `manifest.json` beside the directory.
+        let root = scratch("blob-layout");
+        let dir = root.join("cache");
+        std::fs::create_dir_all(&dir).unwrap();
+        let blob = dir.join(format!(
+            "{}.json",
+            crate::hash::stable_digest(b"key:{\"cell\":1}")
+        ));
+        let blob_bytes = br#"{"key":{"cell":1},"value":10,"value_digest":"0"}"#;
+        std::fs::write(&blob, blob_bytes).unwrap();
+        let manifest = root.join("manifest.json");
+        let manifest_bytes = br#"{"key":{"cell":1},"id":"cell-1","value":10}"#;
+        std::fs::write(&manifest, manifest_bytes).unwrap();
+
+        let store = LsmStore::open(&dir).unwrap();
+        assert!(
+            matches!(store.get(&key(1)), GetResult::Miss),
+            "blobs are not served"
+        );
+        assert!(store.resume_state().unwrap().values.is_empty());
+        store.put(&key(2), &Value::U64(20)).unwrap();
+        assert!(matches!(store.get(&key(2)), GetResult::Hit(Value::U64(20))));
+        store.flush().unwrap();
+        drop(store);
+        assert_eq!(std::fs::read(&blob).unwrap(), blob_bytes);
+        assert_eq!(std::fs::read(&manifest).unwrap(), manifest_bytes);
+        let store = LsmStore::open(&dir).unwrap();
+        assert!(matches!(store.get(&key(2)), GetResult::Hit(Value::U64(20))));
+        assert_eq!(store.stats().quarantined_total, 0);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

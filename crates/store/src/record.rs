@@ -34,18 +34,14 @@
 //! ```
 //!
 //! Storing the resume key *string* (not the key JSON) means recovery
-//! and resume never parse key objects — the map key is right there —
-//! which is where the cold-open speedup over the line journal comes
-//! from.
+//! and resume never parse key objects — the map key is right there.
 
 use serde_json::Value;
 
 use crate::crc::crc32;
 use crate::hash::stable_addr;
 
-/// One completed cell, as the harness journals it. This is the same
-/// shape `scu-harness` has always called `JournalEntry`; it lives here
-/// so every backend speaks it.
+/// One completed cell, as the harness journals it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalRecord {
     /// The job's cache key, if it had one.
@@ -71,46 +67,6 @@ impl JournalRecord {
             ),
             None => format!("id:{id}"),
         }
-    }
-
-    /// The legacy line-journal JSON shape (`{"key":…,"id":…,…}`).
-    pub fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("key".to_string(), self.key.clone().unwrap_or(Value::Null)),
-            ("id".to_string(), Value::Str(self.id.clone())),
-            ("value".to_string(), self.value.clone()),
-        ];
-        if let Some(d) = self.digest {
-            fields.push(("digest".to_string(), Value::U64(d)));
-        }
-        Value::Object(fields)
-    }
-
-    /// Parses the legacy line-journal JSON shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable reason for missing or mistyped fields.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let key = match v.get("key") {
-            None => return Err("missing 'key'".to_string()),
-            Some(Value::Null) => None,
-            Some(k) => Some(k.clone()),
-        };
-        let id = v
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("missing 'id'")?
-            .to_string();
-        let value = v.get("value").cloned().ok_or("missing 'value'")?;
-        // Tolerant of journals written before digests existed.
-        let digest = v.get("digest").and_then(Value::as_u64);
-        Ok(JournalRecord {
-            key,
-            id,
-            value,
-            digest,
-        })
     }
 }
 

@@ -16,7 +16,7 @@ use scu_store::lsm::{LsmOptions, LsmStore};
 use scu_store::record::{JournalRecord, Record, RecordKind};
 use scu_store::segment::Segment;
 use scu_store::wal::{Wal, WAL_MAGIC};
-use scu_store::{GetResult, ResultStore};
+use scu_store::GetResult;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 
