@@ -323,7 +323,7 @@ fn main() {
     }
     if profile {
         print_profile(&result.phases);
-        print_engine_profile(cached);
+        print_engine_profile(r, cached);
         if remote.is_none() {
             print_graph_outcome();
         }
@@ -372,12 +372,25 @@ fn print_graph_outcome() {
     }
 }
 
-/// Renders the GPU engine's host wall-clock for this process.
-fn print_engine_profile(cached: bool) {
+/// Renders the GPU engine's host wall-clock for this process, plus
+/// its rate: host ns per simulated thread and per memory slot over
+/// the cell's GPU launches (processing + compaction), which compares
+/// across cells and engine changes where the wall alone does not.
+fn print_engine_profile(r: &scu_algos::RunReport, cached: bool) {
     let ns = scu_gpu::engine_ns();
     println!("\n--- profile: engine wall-clock (host) ---");
     if ns > 0 {
         println!("GPU engine       {:>12.1} ms", ns as f64 / 1e6);
+        let threads = r.gpu_processing.threads + r.gpu_compaction.threads;
+        let mem_slots = r.gpu_processing.mem_slots + r.gpu_compaction.mem_slots;
+        for (label, n) in [("thread", threads), ("mem slot", mem_slots)] {
+            if n > 0 {
+                println!(
+                    "  per {label:<11}{:>12.2} ns ({n} simulated)",
+                    ns as f64 / n as f64
+                );
+            }
+        }
     } else if cached {
         println!("no engine time recorded — result came from the cache");
     } else {

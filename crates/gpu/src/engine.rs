@@ -1,13 +1,13 @@
 //! Warp-level kernel execution engine.
 //!
 //! Threads run sequentially (functional correctness is exact and
-//! deterministic); timing is reconstructed warp-by-warp: the engine
-//! aligns the j-th memory operation of each thread in a warp into one
-//! SIMT memory instruction, coalesces its 32 addresses into line
-//! transactions, and drives them through the per-SM L1 and the shared
-//! L2/DRAM. Execution time is the max of throughput, bandwidth,
-//! latency and atomic-serialisation bounds (see
-//! [`crate::stats::TimeBounds`]).
+//! deterministic); timing is reconstructed warp-by-warp: the j-th
+//! memory operation of each thread in a warp forms one SIMT memory
+//! instruction (recorded slot-major by [`ThreadCtx`]). The engine
+//! coalesces each instruction's lane addresses into line transactions
+//! and drives them through the per-SM L1 and the shared L2/DRAM.
+//! Execution time is the max of throughput, bandwidth, latency and
+//! atomic-serialisation bounds (see [`crate::stats::TimeBounds`]).
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -21,7 +21,7 @@ use scu_mem::system::MemorySystem;
 use scu_trace::{Event, MemSource, Probe};
 
 use crate::config::GpuConfig;
-use crate::kernel::{MemOp, ThreadCtx};
+use crate::kernel::{ThreadCtx, WarpSlot};
 use crate::stats::{KernelStats, TimeBounds};
 
 /// Time charged per serialised same-address atomic at the L2, ns.
@@ -34,11 +34,8 @@ const ATOMIC_THROUGHPUT_NS: f64 = 2.0;
 /// warp loop — the hottest loop in the simulator — allocates nothing.
 #[derive(Debug, Default)]
 struct RunScratch {
-    /// Per-lane recorded memory traces (one buffer per warp lane).
-    warp_traces: Vec<Vec<MemOp>>,
-    loads: Vec<Addr>,
-    stores: Vec<Addr>,
-    atomics: Vec<Addr>,
+    /// The recording context, holding the current warp's slots.
+    ctx: ThreadCtx,
     /// Coalesced line transactions of the current slot.
     tx: Vec<Addr>,
     atomic_counts: HashMap<Addr, u64>,
@@ -221,64 +218,37 @@ impl GpuEngine {
         // Borrow the scratch buffers apart from `l1s`/`coalescer` so
         // the warp loop reuses them without fighting the borrow checker.
         let RunScratch {
-            warp_traces,
-            loads,
-            stores,
-            atomics,
+            ctx,
             tx,
             atomic_counts,
         } = &mut self.scratch;
-        if warp_traces.len() < warp_size {
-            warp_traces.resize_with(warp_size, Vec::new);
-        }
         atomic_counts.clear();
-
-        let mut ctx = ThreadCtx::new();
 
         for w in 0..n_warps {
             let sm = w % num_sms;
             let first = w * warp_size;
             let last = ((w + 1) * warp_size).min(threads);
-            let lanes = last - first;
+            ctx.begin_warp();
             let mut alu_max = 0u64;
-            let mut mem_slot_count = 0usize;
-            for (k, tid) in (first..last).enumerate() {
-                body(tid, &mut ctx);
-                let alu = ctx.drain_trace_into(&mut warp_traces[k]);
-                let mems = &warp_traces[k];
-                for op in mems.iter() {
-                    if op.atomic {
-                        stats.atomics += 1;
-                        *atomic_counts.entry(op.addr).or_insert(0) += 1;
-                    } else if op.write {
-                        stats.stores += 1;
-                    } else {
-                        stats.loads += 1;
-                    }
-                }
-                alu_max = alu_max.max(alu);
-                stats.thread_insts += alu + mems.len() as u64;
-                mem_slot_count = mem_slot_count.max(mems.len());
+            for tid in first..last {
+                body(tid, ctx);
+                let t = ctx.end_thread();
+                alu_max = alu_max.max(t.alu);
+                stats.thread_insts += t.alu + t.ops;
             }
 
             // Simulate each aligned memory slot.
+            let slots = ctx.slots();
             let mut warp_tx = 0u64;
-            for j in 0..mem_slot_count {
-                // Gather the j-th op of each lane, grouped by kind.
-                loads.clear();
-                stores.clear();
-                atomics.clear();
-                for lane in &warp_traces[..lanes] {
-                    if let Some(op) = lane.get(j) {
-                        if op.atomic {
-                            atomics.push(op.addr);
-                        } else if op.write {
-                            stores.push(op.addr);
-                        } else {
-                            loads.push(op.addr);
-                        }
-                    }
-                }
+            for WarpSlot {
+                loads,
+                stores,
+                atomics,
+            } in slots
+            {
+                stats.loads += loads.len() as u64;
+                stats.stores += stores.len() as u64;
+                stats.atomics += atomics.len() as u64;
 
                 if !loads.is_empty() {
                     stats.mem_slots += 1;
@@ -322,6 +292,9 @@ impl GpuEngine {
                 }
                 if !atomics.is_empty() {
                     stats.mem_slots += 1;
+                    for &addr in atomics {
+                        *atomic_counts.entry(addr).or_insert(0) += 1;
+                    }
                     // Atomics resolve at the L2.
                     self.coalescer.transactions_into(atomics, tx);
                     for &line in tx.iter() {
@@ -334,9 +307,9 @@ impl GpuEngine {
 
             stats.transactions += warp_tx;
             tally.sm_l1_tx[sm] += warp_tx;
-            let slots = alu_max + mem_slot_count as u64;
-            stats.warp_slots += slots;
-            tally.sm_slots[sm] += slots;
+            let issue_slots = alu_max + slots.len() as u64;
+            stats.warp_slots += issue_slots;
+            tally.sm_slots[sm] += issue_slots;
         }
         tally
     }
@@ -448,9 +421,38 @@ mod tests {
                 let _ = ctx.load(&a, (tid * 64 + k) % (64 * 32));
             }
         });
-        // 2 warps; each warp has 64 memory slots (max over lanes).
+        // 2 warps; each warp has 64 memory slots (max over lanes), and
+        // each lane's loads are counted once: 2 x (64 + 31).
         assert_eq!(s.warps, 2);
-        assert!(s.mem_slots >= 128);
+        assert_eq!(s.mem_slots, 128);
+        assert_eq!(s.loads, 190);
+        assert_eq!(s.warp_slots, 128);
+        assert_eq!(s.thread_insts, 190);
+    }
+
+    #[test]
+    fn mixed_kinds_in_one_slot_coalesce_separately() {
+        let (mut eng, mut mem, mut alloc) = setup();
+        let mut a: DeviceArray<u32> = DeviceArray::zeroed(&mut alloc, 2);
+        // Lane 0 loads and lane 1 stores in slot 0, on the same line.
+        let s = eng.run(&mut mem, "mixed", 2, |tid, ctx| {
+            if tid == 0 {
+                let _ = ctx.load(&a, 0);
+            } else {
+                ctx.store(&mut a, 1, 7);
+            }
+        });
+        assert_eq!(a.get(1), 7);
+        assert_eq!((s.loads, s.stores, s.atomics), (1, 1, 0));
+        // One SIMT slot, but a load and a store instruction: each kind
+        // issues its own transaction to the shared line.
+        assert_eq!(s.mem_slots, 2);
+        assert_eq!(s.transactions, 2);
+        assert_eq!(s.warp_slots, 1);
+        assert_eq!(s.thread_insts, 2);
+        // The load goes through the L1; the store bypasses it to the L2.
+        assert_eq!(s.l1.accesses, 1);
+        assert_eq!(s.mem.l2.accesses, 2);
     }
 
     #[test]
